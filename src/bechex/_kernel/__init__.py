@@ -1,21 +1,40 @@
 """Hot kernels for the enumeration engine.
 
-The compiled backend (bechex._kernel._fast, built from _fast.pyx) is used
-when importable; otherwise the pure-Python backend takes over with
-identical semantics.  Set BECHEX_PURE=1 to force the pure backend.
+The compiled backend (bechex._kernel._fast, built from _fast.pyx or the
+shipped _fast.c) is used when importable; otherwise the pure-Python
+backend takes over with identical semantics.  Set BECHEX_PURE=1 to force
+the pure backend.  BACKEND names the backend in use and BACKEND_REASON
+says why it was chosen: "compiled", "BECHEX_PURE", or
+"fallback: <import error>".  A fallback is logged once as a warning on
+the "bechex" logger.
 """
 
 from __future__ import annotations
 
 import os
+from importlib import import_module
 
 if os.environ.get("BECHEX_PURE"):
     from . import pure as _impl
+
+    BACKEND_REASON = "BECHEX_PURE"
 else:
     try:
-        from . import _fast as _impl  # type: ignore[attr-defined]
-    except ImportError:
+        _impl = import_module("._fast", __name__)
+    except ImportError as exc:
+        import logging
+
         from . import pure as _impl
+
+        BACKEND_REASON = f"fallback: {exc}"
+        logging.getLogger("bechex").warning(
+            "compiled kernel unavailable (%s); using the pure-Python kernel, "
+            "which is about 25x slower. Build it with "
+            "'python setup.py build_ext --inplace'.",
+            exc,
+        )
+    else:
+        BACKEND_REASON = "compiled"
 
 from .common import pack_cells, unpack_cells
 
@@ -28,6 +47,7 @@ code_deficit = _impl.code_deficit
 
 __all__ = [
     "BACKEND",
+    "BACKEND_REASON",
     "canonical_key",
     "code_deficit",
     "grow",

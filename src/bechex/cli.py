@@ -106,16 +106,27 @@ def _cmd_analyze(args) -> int:
     else:
         print("error: provide a code or --stdin", file=sys.stderr)
         return _EXIT_USAGE
-    results = [_analyze_one(_parse_or_die(t)) for t in texts]
+    results = []
+    for text in texts:
+        try:
+            results.append(_analyze_one(parse_code(text)))
+        except InvalidSymbols as exc:
+            results.append({"code": text, "error": type(exc).__name__, "message": str(exc)})
     if args.json:
         _emit({"results": results}, True, [])
     else:
-        for i, payload in enumerate(results):
-            if i:
+        shown = 0
+        for payload in results:
+            if "error" in payload:
+                print(f"error: {payload['message']}", file=sys.stderr)
+                continue
+            if shown:
                 print()
+            shown += 1
             for line in _analyze_lines(payload):
                 print(line)
-    return _EXIT_OK
+    bad = any("error" in payload for payload in results)
+    return _EXIT_BAD_CODE if bad else _EXIT_OK
 
 
 def _cmd_canonical(args) -> int:

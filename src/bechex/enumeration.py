@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import _kernel as kernel
 from .codes import Code, canonical, convexity_deficit, parse_code
-from .errors import NotClosed, ResourceLimit, SelfIntersecting
+from .errors import NotClosed, ResourceLimit, ResumeError, SelfIntersecting
 from .lattice import condensation_class, embed
 
 __all__ = [
@@ -199,8 +199,13 @@ def _level_path(out_dir: Path, h: int) -> Path:
 
 
 def _load_level(out_dir: Path, h: int) -> list[bytes]:
+    path = _level_path(out_dir, h)
+    try:
+        text = path.read_text("ascii")
+    except FileNotFoundError:
+        raise ResumeError(f"cannot resume: level file {path} is missing") from None
     keys = []
-    for line in _level_path(out_dir, h).read_text("ascii").splitlines():
+    for line in text.splitlines():
         cells = embed(parse_code(line)).cells
         keys.append(kernel.canonical_key(kernel.pack_cells(cells)))
     return sorted(keys)

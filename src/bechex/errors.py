@@ -51,3 +51,7 @@ class ParamOutOfRange(BechexError):
 
 class ResourceLimit(BechexError):
     """Search request above the configured size cap."""
+
+
+class ResumeError(BechexError):
+    """Level files that a resumed enumeration cannot continue from."""

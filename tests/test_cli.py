@@ -59,6 +59,21 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert [r["code"] for r in results] == ["55", "444"]
 
+    def test_stdin_reports_bad_lines_and_keeps_good_ones(self):
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="55\n5x1\n4343\n")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r["code"] for r in results] == ["55", "5x1", "4343"]
+        assert [r.get("error") for r in results] == [None, "InvalidSymbols", None]
+        assert "5x1" in results[1]["message"]
+        assert [r["hexagons"] for r in (results[0], results[2])] == [2, 4]
+
+    def test_stdin_bad_line_in_text_mode(self):
+        code, out, err = run_cli("analyze", "--stdin", stdin="55\n5x1\n4343\n")
+        assert code == 1
+        assert out.count("canonical:") == 2
+        assert err.count("error:") == 1 and "5x1" in err
+
     def test_missing_argument(self):
         code, _, err = run_cli("analyze")
         assert code == 3
@@ -195,6 +210,17 @@ class TestEnumerate:
 
     def test_bad_hexagons(self):
         assert run_cli("enumerate", "--hexagons", "0")[0] == 3
+
+    def test_resume_with_missing_level_file_exits_3(self, tmp_path):
+        assert run_cli("enumerate", "--hexagons", "4", "--out", str(tmp_path))[0] == 0
+        (tmp_path / "benzenoids_h3.txt").unlink()
+        code, out, err = run_cli(
+            "enumerate", "--hexagons", "6", "--out", str(tmp_path), "--resume"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "benzenoids_h3.txt" in err
+        assert "Traceback" not in err
 
 
 class TestUnbranchedMax:

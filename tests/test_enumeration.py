@@ -22,7 +22,7 @@ from bechex.enumeration import (
     report,
     run_search,
 )
-from bechex.errors import NotClosed, ResourceLimit, SelfIntersecting
+from bechex.errors import NotClosed, ResourceLimit, ResumeError, SelfIntersecting
 from bechex.lattice import (
     Condensation,
     condensation_class,
@@ -152,6 +152,12 @@ class TestPersistence:
         run_search(SearchConfig(h_max=3, out_dir=tmp_path / "b"))
         b = run_search(SearchConfig(h_max=5, out_dir=tmp_path / "b", resume=True))
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+    def test_resume_with_missing_lower_level_names_the_file(self, tmp_path):
+        run_search(SearchConfig(h_max=4, out_dir=tmp_path))
+        (tmp_path / "benzenoids_h2.txt").unlink()
+        with pytest.raises(ResumeError, match="benzenoids_h2.txt"):
+            run_search(SearchConfig(h_max=5, out_dir=tmp_path, resume=True))
 
 
 class TestUnbranchedFusenes:
