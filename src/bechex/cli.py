@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from . import enumeration, families
-from .codes import Code, classify, parse_code, winding
+from .codes import Code, canonical, classify, parse_code, winding
 from .errors import (
     BechexError,
     Disconnected,
@@ -21,12 +21,11 @@ from .errors import (
     NotClosed,
     NotFound,
     ParamOutOfRange,
+    ResourceLimit,
     SelfIntersecting,
 )
 from .lattice import Benzenoid, embed
 from .render import RenderOptions, to_svg, to_tikz
-
-SCHEMA_VERSION = 1
 
 _EXIT_OK = 0
 _EXIT_BAD_CODE = 1
@@ -45,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
     if as_json:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
+        payload = {"schema_version": enumeration.SCHEMA_VERSION, **payload}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -64,7 +63,7 @@ def _analyze_one(code: Code) -> dict:
     info = classify(code)
     payload = {
         "code": str(code),
-        "canonical": str(code.canonical()),
+        "canonical": str(canonical(code)),
         "length": len(code),
         "winding": winding(code),
         "deficit": info.deficit,
@@ -131,7 +130,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_canonical(args) -> int:
     code = _parse_or_die(args.code)
-    canon = code.canonical()
+    canon = canonical(code)
     _emit({"code": str(code), "canonical": str(canon)}, args.json, [str(canon)])
     return _EXIT_OK
 
@@ -248,7 +247,7 @@ def _cmd_family(args) -> int:
         "family": args.family.lower(),
         "params": list(args.params),
         "code": str(code),
-        "canonical": str(code.canonical()),
+        "canonical": str(canonical(code)),
         "hexagons": h,
         "deficit": cd,
     }
@@ -305,14 +304,16 @@ def _cmd_enumerate(args) -> int:
     if args.hexagons < 1:
         print("error: --hexagons must be at least 1", file=sys.stderr)
         return _EXIT_USAGE
-    config = enumeration.SearchConfig(
-        h_max=args.hexagons,
-        workers=args.threads,
-        out_dir=args.out,
-        resume=args.resume,
-    )
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return _EXIT_USAGE
+    if args.resume and not args.out:
+        print("error: --resume needs --out", file=sys.stderr)
+        return _EXIT_USAGE
     try:
-        reports = enumeration.run_search(config)
+        reports = enumeration.run_search(
+            args.hexagons, workers=args.threads, out_dir=args.out, resume=args.resume
+        )
     except BechexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -331,7 +332,11 @@ def _cmd_unbranched_max(args) -> int:
     if args.hexagons < 2:
         print("error: --hexagons must be at least 2", file=sys.stderr)
         return _EXIT_USAGE
-    value, witnesses = enumeration.max_cd_unbranched_benzenoids(args.hexagons)
+    try:
+        value, witnesses = enumeration.max_cd_unbranched_benzenoids(args.hexagons)
+    except ResourceLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     payload = {
         "hexagons": args.hexagons,
         "max_deficit": value,

@@ -38,7 +38,6 @@ __all__ = [
     "parse_code",
     "reverse",
     "rotate",
-    "symbol_sum",
     "winding",
 ]
 
@@ -66,25 +65,9 @@ class Code:
                     f"symbol {s!r} not in 1..5 (6 stands alone as the benzene code)"
                 )
 
-    @classmethod
-    def from_string(cls, text: str) -> "Code":
-        stripped = text.strip()
-        if not stripped or not stripped.isdigit():
-            raise InvalidSymbols(f"not a digit string: {text!r}")
-        return cls(tuple(int(ch) for ch in stripped))
-
     @property
     def is_benzene(self) -> bool:
         return self.symbols == (BENZENE_SYMBOL,)
-
-    def canonical(self) -> "Code":
-        return canonical(self)
-
-    def reversed(self) -> "Code":
-        return reverse(self)
-
-    def rotated(self, shift: int) -> "Code":
-        return rotate(self, shift)
 
     def __str__(self) -> str:
         return "".join(map(str, self.symbols))
@@ -99,7 +82,10 @@ BENZENE = Code((BENZENE_SYMBOL,))
 
 def parse_code(text: str) -> Code:
     """Parse a digit string (surrounding whitespace ignored) into a code."""
-    return Code.from_string(text)
+    stripped = text.strip()
+    if not stripped.isdigit():
+        raise InvalidSymbols(f"not a digit string: {text!r}")
+    return Code(tuple(int(ch) for ch in stripped))
 
 
 def concat(first: Code, second: Code) -> Code:
@@ -141,10 +127,6 @@ def canonical(code: Code) -> Code:
 def equivalent(first: Code, second: Code) -> bool:
     """True when the codes describe the same boundary (rotation/reversal)."""
     return canonical(first).symbols == canonical(second).symbols
-
-
-def symbol_sum(code: Code) -> int:
-    return sum(code.symbols)
 
 
 def winding(code: Code) -> int:

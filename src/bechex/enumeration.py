@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,6 @@ from .lattice import condensation_class, embed
 __all__ = [
     "DEFAULT_MAX_H",
     "EnumerationReport",
-    "SearchConfig",
     "check_unimodal",
     "count_benzenoids",
     "enumerate_benzenoids",
@@ -35,24 +35,14 @@ __all__ = [
     "run_search",
 ]
 
-#: Levels above this size are refused unless the caller raises the cap; a
-#: plain desk machine handles h = 12 in minutes, every extra level costs
-#: roughly a factor of five.
+#: Levels above this size are refused (``max_h`` raises the cap of the
+#: library functions); a plain desk machine handles h = 12 in minutes,
+#: every extra level costs roughly a factor of five.
 DEFAULT_MAX_H = 14
 
 SCHEMA_VERSION = 1
 
 _PARALLEL_THRESHOLD = 2048
-
-
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
-    """Settings for a persistent enumeration run."""
-
-    h_max: int
-    workers: int = 1
-    out_dir: Path | None = None
-    resume: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,90 +100,6 @@ def _grow(parents: list[bytes], workers: int) -> set[bytes]:
     return kernel.grow(parents)
 
 
-def _levels(h_max: int, workers: int = 1, start: tuple[int, list[bytes]] | None = None):
-    """Yield (h, sorted canonical keys) for every level up to h_max."""
-    if start is None:
-        h, keys = 1, [kernel.pack_cells(((0, 0),))]
-    else:
-        h, keys = start
-    yield h, keys
-    while h < h_max:
-        raw = _grow(keys, workers)
-        keys = sorted(k for k in raw if kernel.simply_connected(k))
-        h += 1
-        yield h, keys
-
-
-def _check_cap(h: int, max_h: int | None) -> None:
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if max_h is not None and h > max_h:
-        raise ResourceLimit(
-            f"enumeration to h={h} exceeds the cap of {max_h}; pass max_h to raise it"
-        )
-
-
-def enumerate_benzenoids(
-    h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H
-):
-    """Yield every benzenoid with h hexagons exactly once, as its
-    canonical normalised cell tuple, in deterministic (sorted) order."""
-    _check_cap(h, max_h)
-    for level, keys in _levels(h, workers):
-        if level == h:
-            for key in keys:
-                yield kernel.unpack_cells(key)
-
-
-def count_benzenoids(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> int:
-    _check_cap(h, max_h)
-    for level, keys in _levels(h, workers):
-        if level == h:
-            return len(keys)
-    raise AssertionError("unreachable")
-
-
-def _report_from_pairs(h: int, pairs: list[tuple[str, bytes]]) -> EnumerationReport:
-    distribution: Counter[int] = Counter()
-    best = -1
-    extremal: list[tuple[str, bytes]] = []
-    for code, key in pairs:
-        deficit = kernel.code_deficit(code)
-        distribution[deficit] += 1
-        if deficit > best:
-            best = deficit
-            extremal = [(code, key)]
-        elif deficit == best:
-            extremal.append((code, key))
-    breakdown: Counter[str] = Counter(
-        condensation_class(kernel.unpack_cells(key)).value for _, key in extremal
-    )
-    return EnumerationReport(
-        h=h,
-        count=sum(distribution.values()),
-        distribution=dict(sorted(distribution.items())),
-        mcd=best,
-        ex=distribution[best],
-        extremal_codes=tuple(sorted(code for code, _ in extremal)),
-        extremal_breakdown=dict(sorted(breakdown.items())),
-    )
-
-
-def _traced(keys: list[bytes]) -> list[tuple[str, bytes]]:
-    return [(kernel.trace_code(key), key) for key in keys]
-
-
-def report(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> EnumerationReport:
-    """Enumerate level h and fold code and deficit over every benzenoid."""
-    if h < 2:
-        raise ValueError("reports are defined for h >= 2")
-    _check_cap(h, max_h)
-    for level, keys in _levels(h, workers):
-        if level == h:
-            return _report_from_pairs(h, _traced(keys))
-    raise AssertionError("unreachable")
-
-
 def _level_path(out_dir: Path, h: int) -> Path:
     return out_dir / f"benzenoids_h{h}.txt"
 
@@ -211,53 +117,131 @@ def _load_level(out_dir: Path, h: int) -> list[bytes]:
     return sorted(keys)
 
 
-def run_search(config: SearchConfig) -> list[EnumerationReport]:
-    """Run the enumeration up to ``config.h_max``, optionally persisting
-    each level, its report and its extremal codes to ``config.out_dir``.
+def _levels(
+    h_max: int,
+    workers: int = 1,
+    max_h: int | None = DEFAULT_MAX_H,
+    out_dir: Path | None = None,
+    resume: bool = False,
+):
+    """Yield (h, sorted canonical keys) for every level from 1 to h_max.
+
+    Every enumeration runs through this loop.  It refuses h_max above
+    ``max_h`` and more workers than CPU cores before any level is built.
+    With ``resume``, the levels stored in ``out_dir`` are read back and
+    only the levels above them are grown.
+    """
+    if h_max < 1:
+        raise ValueError("h must be >= 1")
+    if max_h is not None and h_max > max_h:
+        raise ResourceLimit(f"enumeration to h={h_max} exceeds the cap of {max_h}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    cores = os.cpu_count() or 1
+    if workers > cores:
+        raise ResourceLimit(f"{workers} workers exceed the {cores} CPU cores of this machine")
+    stored = 0
+    if resume and out_dir is not None:
+        stored = next((h for h in range(h_max, 0, -1) if _level_path(out_dir, h).is_file()), 0)
+    keys: list[bytes] = []
+    for h in range(1, h_max + 1):
+        if h <= stored:
+            keys = _load_level(out_dir, h)
+        elif h == 1:
+            keys = [kernel.pack_cells(((0, 0),))]
+        else:
+            keys = sorted(k for k in _grow(keys, workers) if kernel.simply_connected(k))
+        yield h, keys
+
+
+def _last_level(h: int, workers: int, max_h: int | None) -> list[bytes]:
+    for _, keys in _levels(h, workers, max_h):
+        pass
+    return keys
+
+
+def enumerate_benzenoids(
+    h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H
+):
+    """Yield every benzenoid with h hexagons exactly once, as its
+    canonical normalised cell tuple, in deterministic (sorted) order."""
+    for key in _last_level(h, workers, max_h):
+        yield kernel.unpack_cells(key)
+
+
+def count_benzenoids(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> int:
+    return len(_last_level(h, workers, max_h))
+
+
+def _write_codes(path: Path, codes) -> None:
+    path.write_text("".join(code + "\n" for code in codes), "ascii")
+
+
+def _level_report(h: int, keys: list[bytes], out_dir: Path | None = None) -> EnumerationReport:
+    """Trace every shape of level h and fold the deficits into a report.
+
+    With ``out_dir``, also write the level's sorted codes and, from h = 2
+    on, its report and extremal codes.
+    """
+    pairs = [(kernel.trace_code(key), key) for key in keys]
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_codes(_level_path(out_dir, h), sorted(code for code, _ in pairs))
+    distribution: Counter[int] = Counter()
+    best = -1
+    extremal: list[tuple[str, bytes]] = []
+    for code, key in pairs:
+        deficit = kernel.code_deficit(code)
+        distribution[deficit] += 1
+        if deficit > best:
+            best = deficit
+            extremal = [(code, key)]
+        elif deficit == best:
+            extremal.append((code, key))
+    breakdown: Counter[str] = Counter(
+        condensation_class(kernel.unpack_cells(key)).value for _, key in extremal
+    )
+    rep = EnumerationReport(
+        h=h,
+        count=sum(distribution.values()),
+        distribution=dict(sorted(distribution.items())),
+        mcd=best,
+        ex=distribution[best],
+        extremal_codes=tuple(sorted(code for code, _ in extremal)),
+        extremal_breakdown=dict(sorted(breakdown.items())),
+    )
+    if out_dir is not None and h >= 2:
+        (out_dir / f"report_h{h}.json").write_text(rep.to_json(), "ascii")
+        _write_codes(out_dir / f"extremal_h{h}.txt", rep.extremal_codes)
+    return rep
+
+
+def report(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> EnumerationReport:
+    """Enumerate level h and fold code and deficit over every benzenoid."""
+    if h < 2:
+        raise ValueError("reports are defined for h >= 2")
+    return _level_report(h, _last_level(h, workers, max_h))
+
+
+def run_search(
+    h_max: int,
+    *,
+    workers: int = 1,
+    out_dir: Path | str | None = None,
+    resume: bool = False,
+) -> list[EnumerationReport]:
+    """Run the enumeration up to ``h_max``, optionally persisting each
+    level, its report and its extremal codes to ``out_dir``.
 
     Written files are sorted and the whole output is byte-deterministic:
     it depends only on h, never on the worker count.  With ``resume``,
     levels present as files are reloaded instead of recomputed, so the
     returned reports always cover every level from 2 to ``h_max``.
     """
-    out_dir = Path(config.out_dir) if config.out_dir is not None else None
-    loaded_to = 0
-    if config.resume and out_dir is not None:
-        for h in range(config.h_max, 0, -1):
-            if _level_path(out_dir, h).is_file():
-                loaded_to = h
-                break
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def _all_levels():
-        last = None
-        for h in range(1, loaded_to + 1):
-            last = (h, _load_level(out_dir, h))
-            yield last
-        if loaded_to < config.h_max:
-            fresh = _levels(config.h_max, config.workers, start=last)
-            if last is not None:
-                next(fresh)  # _levels re-yields its start level
-            yield from fresh
-
-    reports = []
-    for h, keys in _all_levels():
-        pairs = _traced(keys) if (h >= 2 or out_dir is not None) else []
-        if out_dir is not None:
-            _level_path(out_dir, h).write_text(
-                "".join(code + "\n" for code in sorted(code for code, _ in pairs)),
-                "ascii",
-            )
-        if h >= 2:
-            rep = _report_from_pairs(h, pairs)
-            reports.append(rep)
-            if out_dir is not None:
-                (out_dir / f"report_h{h}.json").write_text(rep.to_json(), "ascii")
-                (out_dir / f"extremal_h{h}.txt").write_text(
-                    "".join(code + "\n" for code in rep.extremal_codes), "ascii"
-                )
-    return reports
+    out_dir = Path(out_dir) if out_dir is not None else None
+    levels = _levels(h_max, workers, out_dir=out_dir, resume=resume)
+    reports = [_level_report(h, keys, out_dir) for h, keys in levels]
+    return reports[1:]  # level 1, benzene alone, has no report
 
 
 def enumerate_unbranched_fusenes(h: int) -> list[Code]:
@@ -272,6 +256,11 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
     """
     if h < 2:
         raise ValueError("unbranched fusenes need h >= 2")
+    if h > DEFAULT_MAX_H:
+        raise ResourceLimit(
+            f"unbranched fusenes to h={h} exceed the cap of {DEFAULT_MAX_H}: "
+            f"there are 3^{h - 2} chains to build"
+        )
     seen = set()
     for side in itertools.product((1, 2, 3), repeat=h - 2):
         back = tuple(4 - s for s in reversed(side))

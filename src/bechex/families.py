@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from .codes import Code, ConvexityKind, canonical
+from .codes import Code, ConvexityKind, canonical, parse_code
 from .errors import NotFound, ParamOutOfRange
 
 __all__ = [
     "FAMILY_IDS",
-    "FamilySpec",
     "NamedCompound",
     "compounds",
     "expected_cd",
@@ -28,14 +27,6 @@ __all__ = [
     "lookup",
     "spiral",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
-    """A family identifier plus its integer parameters."""
-
-    family: str
-    params: tuple[int, ...]
 
 
 def _rep(symbol: int, count: int) -> tuple[int, ...]:
@@ -226,50 +217,35 @@ _FAMILIES: dict[str, _Family] = {
 FAMILY_IDS: tuple[str, ...] = tuple(f.id for f in _FAMILIES.values())
 
 
-def _family(spec: FamilySpec) -> _Family:
-    fam = _FAMILIES.get(spec.family.lower())
+def _family(family: str, params: tuple[int, ...]) -> _Family:
+    fam = _FAMILIES.get(family.lower())
     if fam is None:
-        raise NotFound(f"unknown family {spec.family!r}; known: {', '.join(FAMILY_IDS)}")
-    if len(spec.params) != len(fam.param_names):
+        raise NotFound(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
+    if len(params) != len(fam.param_names):
         raise ParamOutOfRange(
             f"{fam.id} takes {len(fam.param_names)} parameter(s) "
-            f"({', '.join(fam.param_names)}), got {len(spec.params)}"
+            f"({', '.join(fam.param_names)}), got {len(params)}"
         )
-    for name, value, minimum in zip(fam.param_names, spec.params, fam.minima):
+    for name, value, minimum in zip(fam.param_names, params, fam.minima):
         if value < minimum:
             raise ParamOutOfRange(f"{fam.id}: {name} must be >= {minimum}, got {value}")
     return fam
 
 
-def _as_spec(family: FamilySpec | str, params: tuple[int, ...]) -> FamilySpec:
-    if isinstance(family, FamilySpec):
-        if params:
-            raise TypeError("pass parameters inside the FamilySpec, not alongside it")
-        return family
-    return FamilySpec(family, tuple(params))
+def generate(family: str, *params: int) -> Code:
+    """The boundary-edges code of a family member (not canonicalised):
+    the family id followed by its parameters, ``generate("M2", 2, 3)``."""
+    return Code(_family(family, params).code_fn(*params))
 
 
-def generate(family: FamilySpec | str, *params: int) -> Code:
-    """The boundary-edges code of a family member (not canonicalised).
-
-    Accepts either a FamilySpec or the family id followed by its
-    parameters: ``generate("M2", 2, 3)``.
-    """
-    spec = _as_spec(family, params)
-    fam = _family(spec)
-    return Code(fam.code_fn(*spec.params))
-
-
-def expected_h(family: FamilySpec | str, *params: int) -> int:
+def expected_h(family: str, *params: int) -> int:
     """Closed-form hexagon count of a family member."""
-    spec = _as_spec(family, params)
-    return _family(spec).h_fn(*spec.params)
+    return _family(family, params).h_fn(*params)
 
 
-def expected_cd(family: FamilySpec | str, *params: int) -> int:
+def expected_cd(family: str, *params: int) -> int:
     """Closed-form convexity deficit of a family member."""
-    spec = _as_spec(family, params)
-    return _family(spec).cd_fn(*spec.params)
+    return _family(family, params).cd_fn(*params)
 
 
 def family_description(family: str) -> str:
@@ -281,12 +257,12 @@ def family_description(family: str) -> str:
 
 def spiral(h: int) -> Code:
     """The spiral benzenoid with h hexagons; deficit max{h-2, 2h-8}."""
-    return generate(FamilySpec("Spiral", (h,)))
+    return generate("Spiral", h)
 
 
 def helicene(h: int) -> Code:
     """The helicene chain with h hexagons; a benzenoid only for h <= 5."""
-    return generate(FamilySpec("Helicene", (h,)))
+    return generate("Helicene", h)
 
 
 _KIND_BY_TAG = {
@@ -345,7 +321,7 @@ _BY_NAME = {
     name.casefold(): record for record in _DATASET for name in record.names
 }
 _BY_CODE = {
-    str(canonical(Code.from_string(record.bec))): record for record in _DATASET
+    str(canonical(parse_code(record.bec))): record for record in _DATASET
 }
 
 
@@ -367,7 +343,7 @@ def lookup(key: str) -> NamedCompound:
         return record
     stripped = key.strip()
     if stripped.isdigit():
-        record = find_by_code(Code.from_string(stripped))
+        record = find_by_code(parse_code(stripped))
         if record is not None:
             return record
     raise NotFound(f"no named benzenoid matches {key!r}")

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from bechex.enumeration import _levels, _report_from_pairs, _traced
+from bechex import enumeration
+from bechex.enumeration import _level_report, _levels
 
 FULL_DEPTH = 12
 KEEP_KEYS_DEPTH = 8
@@ -30,10 +31,21 @@ class EnumerationSession:
             if h <= KEEP_KEYS_DEPTH:
                 self.keys[h] = keys
             if h >= 2:
-                self.reports[h] = _report_from_pairs(h, _traced(keys))
+                self.reports[h] = _level_report(h, keys)
         self.seconds = time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def enumeration_session() -> EnumerationSession:
     return EnumerationSession()
+
+
+@pytest.fixture
+def no_growth(monkeypatch):
+    """Fail any call that would grow a level, to show that a refusal
+    comes before the enumeration starts."""
+
+    def refuse(parents, workers):
+        raise AssertionError("a level was grown")
+
+    monkeypatch.setattr(enumeration, "_grow", refuse)

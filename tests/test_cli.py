@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -211,6 +212,26 @@ class TestEnumerate:
     def test_bad_hexagons(self):
         assert run_cli("enumerate", "--hexagons", "0")[0] == 3
 
+    def test_cap_refuses_before_growing(self, no_growth, tmp_path):
+        code, out, err = run_cli("enumerate", "--hexagons", "15", "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "cap of 14" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4", str((os.cpu_count() or 1) + 1)])
+    def test_bad_threads(self, no_growth, threads):
+        code, out, err = run_cli("enumerate", "--hexagons", "4", "--threads", threads)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_resume_needs_out(self, no_growth):
+        code, out, err = run_cli("enumerate", "--hexagons", "4", "--resume")
+        assert code == 3
+        assert out == ""
+        assert "--resume needs --out" in err
+
     def test_resume_with_missing_level_file_exits_3(self, tmp_path):
         assert run_cli("enumerate", "--hexagons", "4", "--out", str(tmp_path))[0] == 0
         (tmp_path / "benzenoids_h3.txt").unlink()
@@ -232,6 +253,12 @@ class TestUnbranchedMax:
 
     def test_bad_hexagons(self):
         assert run_cli("unbranched-max", "--hexagons", "1")[0] == 3
+
+    def test_cap(self):
+        code, out, err = run_cli("unbranched-max", "--hexagons", "15")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "cap of 14" in err
 
 
 class TestConsoleScript:

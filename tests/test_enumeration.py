@@ -7,12 +7,12 @@ compiled kernel and the pure-Python kernel against each other.
 """
 
 import json
+import os
 
 import pytest
 
-from bechex.codes import convexity_deficit, parse_code
+from bechex.codes import canonical, convexity_deficit, parse_code
 from bechex.enumeration import (
-    SearchConfig,
     _grow,
     check_unimodal,
     count_benzenoids,
@@ -74,11 +74,30 @@ class TestCounts:
         codes = {str(trace(cells)) for cells in shapes}
         assert len(codes) == 22
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, no_growth, tmp_path):
         with pytest.raises(ResourceLimit):
             count_benzenoids(15)
         with pytest.raises(ResourceLimit):
             count_benzenoids(3, max_h=2)
+        with pytest.raises(ResourceLimit, match="cap of 14"):
+            run_search(15, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_worker_count_is_bounded(self, no_growth):
+        too_many = (os.cpu_count() or 1) + 1
+        with pytest.raises(ResourceLimit, match="CPU cores"):
+            count_benzenoids(3, workers=too_many)
+        with pytest.raises(ResourceLimit, match="CPU cores"):
+            run_search(3, workers=too_many)
+        with pytest.raises(ValueError):
+            run_search(3, workers=0)
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+def test_entry_points_agree(h):
+    rep = report(h)
+    assert count_benzenoids(h) == len(list(enumerate_benzenoids(h))) == rep.count
+    assert rep.to_dict() == run_search(h)[-1].to_dict()
 
 
 class TestReports:
@@ -130,7 +149,7 @@ class TestGrowth:
 
 class TestPersistence:
     def test_run_search_writes_levels(self, tmp_path):
-        reports = run_search(SearchConfig(h_max=4, out_dir=tmp_path))
+        reports = run_search(4, out_dir=tmp_path)
         assert [r.h for r in reports] == [2, 3, 4]
         codes = (tmp_path / "benzenoids_h4.txt").read_text().split()
         assert len(codes) == 7
@@ -141,23 +160,23 @@ class TestPersistence:
         assert extremal == ["532521", "533511"]
 
     def test_resume_reuses_level_files(self, tmp_path):
-        run_search(SearchConfig(h_max=4, out_dir=tmp_path))
+        run_search(4, out_dir=tmp_path)
         (tmp_path / "benzenoids_h4.txt").unlink()
-        reports = run_search(SearchConfig(h_max=5, out_dir=tmp_path, resume=True))
+        reports = run_search(5, out_dir=tmp_path, resume=True)
         assert reports[-1].count == 22
         assert (tmp_path / "benzenoids_h5.txt").exists()
 
     def test_fresh_run_matches_resumed_run(self, tmp_path):
-        a = run_search(SearchConfig(h_max=5, out_dir=tmp_path / "a"))
-        run_search(SearchConfig(h_max=3, out_dir=tmp_path / "b"))
-        b = run_search(SearchConfig(h_max=5, out_dir=tmp_path / "b", resume=True))
+        a = run_search(5, out_dir=tmp_path / "a")
+        run_search(3, out_dir=tmp_path / "b")
+        b = run_search(5, out_dir=tmp_path / "b", resume=True)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
     def test_resume_with_missing_lower_level_names_the_file(self, tmp_path):
-        run_search(SearchConfig(h_max=4, out_dir=tmp_path))
+        run_search(4, out_dir=tmp_path)
         (tmp_path / "benzenoids_h2.txt").unlink()
         with pytest.raises(ResumeError, match="benzenoids_h2.txt"):
-            run_search(SearchConfig(h_max=5, out_dir=tmp_path, resume=True))
+            run_search(5, out_dir=tmp_path, resume=True)
 
 
 class TestUnbranchedFusenes:
@@ -169,7 +188,7 @@ class TestUnbranchedFusenes:
         codes = enumerate_unbranched_fusenes(6)
         assert len({str(c) for c in codes}) == len(codes)
         for c in codes:
-            assert str(c.canonical()) == str(c)
+            assert str(canonical(c)) == str(c)
 
     def test_embeddable_subset_matches_growth_enumeration(self, enumeration_session):
         # chains that embed are exactly the unbranched benzenoids
@@ -191,6 +210,14 @@ class TestUnbranchedFusenes:
                 is Condensation.CATACONDENSED_UNBRANCHED
             )
             assert embeddable == grown
+
+    def test_cap(self):
+        # refused before any of the 3^13 chains is built
+        with pytest.raises(ResourceLimit, match="cap of 14") as info:
+            enumerate_unbranched_fusenes(15)
+        assert "max_h" not in str(info.value)
+        with pytest.raises(ResourceLimit):
+            max_cd_unbranched_benzenoids(15)
 
     def test_first_self_touching_chain_is_the_six_coil(self):
         # all chains embed through h = 5; at h = 6 exactly one fails

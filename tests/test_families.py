@@ -4,11 +4,10 @@ import itertools
 
 import pytest
 
-from bechex.codes import classify, convexity_deficit, equivalent, parse_code, winding
+from bechex.codes import canonical, classify, convexity_deficit, equivalent, parse_code, winding
 from bechex.errors import NotFound, ParamOutOfRange, SelfIntersecting
 from bechex.families import (
     FAMILY_IDS,
-    FamilySpec,
     _FAMILIES,
     compounds,
     expected_cd,
@@ -70,10 +69,9 @@ class TestTemplates:
             params = tuple(m + 1 for m in fam.minima)
             assert winding(generate(fid, *params)) == 6
 
-    def test_spec_call_style(self):
-        spec = FamilySpec("m2", (2, 3))
-        assert equivalent(generate(spec), generate("M2", 2, 3))
-        assert expected_h(spec) == 4
+    def test_family_id_is_case_insensitive(self):
+        assert equivalent(generate("m2", 2, 3), generate("M2", 2, 3))
+        assert expected_h("m2", 2, 3) == 4
 
     def test_validation(self):
         with pytest.raises(NotFound):
@@ -86,8 +84,6 @@ class TestTemplates:
             generate("M2", 2)
         with pytest.raises(ParamOutOfRange):
             generate("M2", 2, 2, 2)
-        with pytest.raises(TypeError):
-            generate(FamilySpec("L", (2,)), 2)
 
 
 class TestSpiral:
@@ -112,7 +108,7 @@ class TestSpiral:
         for h in (4, 5, 6):
             value, witnesses = max_cd_unbranched_benzenoids(h)
             assert convexity_deficit(spiral(h)) == value
-            assert str(spiral(h).canonical()) in {str(w) for w in witnesses}
+            assert str(canonical(spiral(h))) in {str(w) for w in witnesses}
 
 
 class TestHelicene:

@@ -46,7 +46,7 @@ class TestWalk:
         with pytest.raises(NotClosed):
             walk(parse_code(raw))
 
-    def test_walk_length_is_symbol_sum(self):
+    def test_walk_length_is_sum_of_symbols(self):
         c = parse_code("53335111")
         assert len(walk(c).directions) == sum(c.symbols)
 
