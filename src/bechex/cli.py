@@ -63,7 +63,6 @@ def _analyze_one(code: Code) -> dict:
     info = classify(code)
     payload = {
         "code": str(code),
-        "canonical": str(canonical(code)),
         "length": len(code),
         "winding": winding(code),
         "deficit": info.deficit,
@@ -72,12 +71,10 @@ def _analyze_one(code: Code) -> dict:
     try:
         shape = embed(code)
     except BechexError as exc:
-        payload["embeddable"] = False
-        payload["reason"] = type(exc).__name__
+        payload.update(canonical=str(canonical(code)), embeddable=False, reason=type(exc).__name__)
     else:
-        payload["embeddable"] = True
-        payload["hexagons"] = shape.hexagons
-        payload["condensation"] = shape.condensation.value
+        payload.update(canonical=str(shape.code), embeddable=True, hexagons=shape.hexagons,
+                       condensation=shape.condensation.value)
     return payload
 
 

@@ -81,9 +81,9 @@ BENZENE = Code((BENZENE_SYMBOL,))
 
 
 def parse_code(text: str) -> Code:
-    """Parse a digit string (surrounding whitespace ignored) into a code."""
+    """Parse ASCII digits (surrounding whitespace ignored) into a code."""
     stripped = text.strip()
-    if not stripped.isdigit():
+    if not (stripped.isascii() and stripped.isdigit()):
         raise InvalidSymbols(f"not a digit string: {text!r}")
     return Code(tuple(int(ch) for ch in stripped))
 

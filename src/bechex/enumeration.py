@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import _kernel as kernel
 from .codes import Code, canonical, convexity_deficit, parse_code
-from .errors import NotClosed, ResourceLimit, ResumeError, SelfIntersecting
-from .lattice import condensation_class, embed
+from .errors import BechexError, NotClosed, ResourceLimit, ResumeError, SelfIntersecting
+from .lattice import _fill, condensation_class, embed
 
 __all__ = [
     "DEFAULT_MAX_H",
@@ -105,15 +105,45 @@ def _level_path(out_dir: Path, h: int) -> Path:
 
 
 def _load_level(out_dir: Path, h: int) -> list[bytes]:
+    """Sorted canonical keys of a stored level.
+
+    Raises ResumeError unless the file holds exactly what a finished run
+    writes: strictly increasing canonical codes of h-hexagon shapes, as
+    many as its report counts (level 1 is the single line 6).
+    """
     path = _level_path(out_dir, h)
     try:
-        text = path.read_text("ascii")
-    except FileNotFoundError:
-        raise ResumeError(f"cannot resume: level file {path} is missing") from None
+        lines = path.read_text("ascii").splitlines()
+    except (OSError, ValueError) as exc:
+        raise ResumeError(f"cannot resume: cannot read level file {path}: {exc}") from None
+    if h == 1:
+        if lines != ["6"]:
+            raise ResumeError(f"cannot resume: level file {path} is not the single line 6")
+        return [kernel.pack_cells(((0, 0),))]
+    report_path = out_dir / f"report_h{h}.json"
+    try:
+        count = json.loads(report_path.read_text("ascii"))["count"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ResumeError(f"cannot resume: cannot read a count from {report_path}: {exc!r}") from None
+    if len(lines) != count:
+        raise ResumeError(
+            f"cannot resume: level file {path} has {len(lines)} lines, its report counts {count}"
+        )
     keys = []
-    for line in text.splitlines():
-        cells = embed(parse_code(line)).cells
-        keys.append(kernel.canonical_key(kernel.pack_cells(cells)))
+    previous = ""
+    for number, line in enumerate(lines, 1):
+        try:
+            cells = _fill(parse_code(line))
+        except BechexError as exc:
+            raise ResumeError(f"cannot resume: line {number} of {path}: {exc}") from None
+        key = kernel.canonical_key(kernel.pack_cells(cells))
+        if line <= previous or len(cells) != h or kernel.trace_code(key) != line:
+            raise ResumeError(
+                f"cannot resume: line {number} of {path}, {line!r}, is not the next "
+                f"canonical code of a {h}-hexagon shape"
+            )
+        previous = line
+        keys.append(key)
     return sorted(keys)
 
 

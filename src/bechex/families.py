@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Callable
 
 from .codes import Code, ConvexityKind, canonical, parse_code
-from .errors import NotFound, ParamOutOfRange
+from .errors import InvalidSymbols, NotFound, ParamOutOfRange
 
 __all__ = [
     "FAMILY_IDS",
@@ -339,11 +339,11 @@ def lookup(key: str) -> NamedCompound:
     """Find a record by compound name (case-insensitive) or by any code
     equivalent to its boundary-edges code."""
     record = _BY_NAME.get(key.strip().casefold())
-    if record is not None:
-        return record
-    stripped = key.strip()
-    if stripped.isdigit():
-        record = find_by_code(parse_code(stripped))
-        if record is not None:
-            return record
-    raise NotFound(f"no named benzenoid matches {key!r}")
+    if record is None:
+        try:
+            record = find_by_code(parse_code(key))
+        except InvalidSymbols:
+            pass
+    if record is None:
+        raise NotFound(f"no named benzenoid matches {key!r}")
+    return record

@@ -9,7 +9,8 @@ unit offsets.
 The traversal convention is fixed throughout: boundaries are walked
 counter-clockwise with the interior on the left, turning left by 60
 degrees at perimeter vertices of degree 2 and right at vertices of
-degree 3, so a closed simple boundary makes +6 net left turns.
+degree 3, so a closed simple boundary makes +6 net left turns.  Embedding
+fills it from the hexagon left of each edge, never entering one on the right.
 """
 
 from __future__ import annotations
@@ -98,14 +99,9 @@ class Benzenoid:
     condensation: Condensation
 
 
-def _cell_center(cell: Cell) -> Vertex:
-    # Hexagon centres sit on the triangular sublattice (x - y) % 3 == 2;
-    # the axial origin cell is centred at (1, -1).
-    q, r = cell
-    return (2 * q + r + 1, -q + r - 1)
-
-
 def _center_cell(center: Vertex) -> Cell:
+    # Hexagon centres sit on the triangular sublattice (x - y) % 3 == 2;
+    # cell (q, r) is centred at (2q + r + 1, r - q - 1).
     x, y = center
     q = (x - y - 2) // 3
     return (q, x - 1 - 2 * q)
@@ -139,7 +135,7 @@ def walk(code: Code) -> BoundaryWalk:
 
 
 def embed(code: Code) -> Benzenoid:
-    """Realise a code as a benzenoid cell set.
+    """Realise a code as a benzenoid cell set: walk it, then fill it.
 
     Accepts either traversal orientation; a reversed code yields the
     mirror-image cell set.  Raises NotClosed when the walk fails to close
@@ -147,40 +143,39 @@ def embed(code: Code) -> Benzenoid:
     """
     if code.is_benzene:
         return Benzenoid(((0, 0),), code, 1, Condensation.CATACONDENSED_UNBRANCHED)
+    cells = _fill(code)
+    return Benzenoid(cells, canonical(code), len(cells), _condensation(cells))
+
+
+def _fill(code: Code) -> tuple[Cell, ...]:
+    """Normalised cells enclosed by the boundary walk of a non-benzene code.
+
+    A hexagon is the integer (x + span) * base + y + span of its centre
+    (x, y).  No centre has |x| or |y| above span, so no two ids clash.
+    """
     w = walk(code)
     if not w.simple:
         raise SelfIntersecting(f"boundary of {code} revisits a lattice vertex")
-    boundary_edges = set()
-    cells: set[Cell] = set()
-    for a, d in zip(w.vertices, w.directions):
-        dx, dy = DIRECTIONS[d]
-        b = (a[0] + dx, a[1] + dy)
-        boundary_edges.add(frozenset((a, b)))
-        lx, ly = DIRECTIONS[(d + 1) % 6]
-        cells.add(_center_cell((a[0] + lx, a[1] + ly)))
-    # Flood inward across shared edges that are not on the boundary.
-    stack = list(cells)
-    while stack:
-        cell = stack.pop()
-        corners = _corners(cell)
-        for j in range(6):
-            if frozenset((corners[j], corners[(j + 1) % 6])) in boundary_edges:
-                continue
-            dq, dr = EDGE_NEIGHBOR_OFFSETS[j]
-            neighbour = (cell[0] + dq, cell[1] + dr)
-            if neighbour not in cells:
-                cells.add(neighbour)
-                stack.append(neighbour)
-    norm = normalize_cells(cells)
-    return Benzenoid(norm, canonical(code), len(norm), condensation_class(norm))
-
-
-def _corners(cell: Cell) -> list[Vertex]:
-    cx, cy = _cell_center(cell)
-    return [
-        (cx + DIRECTIONS[(4 + j) % 6][0], cy + DIRECTIONS[(4 + j) % 6][1])
-        for j in range(6)
-    ]
+    span = len(w.directions) + 1
+    base = 2 * span + 1
+    shift = span * base + span
+    # Walking from vertex a in direction d, the centre a + DIRECTIONS[d + 1]
+    # lies on the left and a + DIRECTIONS[d - 1] on the right.
+    left = [dx * base + dy + shift for dx, dy in DIRECTIONS[1:] + DIRECTIONS[:1]]
+    right = [dx * base + dy + shift for dx, dy in DIRECTIONS[5:] + DIRECTIONS[:5]]
+    inside, outside = set(), set()
+    for (x, y), d in zip(w.vertices, w.directions):
+        vertex = x * base + y
+        inside.add(vertex + left[d])
+        outside.add(vertex + right[d])
+    steps = [(2 * dq + dr) * base + dr - dq for dq, dr in NEIGHBOR_OFFSETS]  # neighbour centres
+    seen = inside | outside
+    frontier = inside
+    while frontier:  # each round adds the unseen neighbours of the last
+        frontier = {i + step for i in frontier for step in steps} - seen
+        seen |= frontier
+    # divmod gives (x + span, y + span): each cell moves by span in r alone.
+    return normalize_cells([_center_cell(divmod(i, base)) for i in seen - outside])
 
 
 def normalize_cells(cells) -> tuple[Cell, ...]:
@@ -313,11 +308,19 @@ def condensation_class(cells) -> Condensation:
     cell_set = set(cells)
     if not _is_connected(cell_set):
         raise Disconnected("cells do not form an edge-connected set")
-    dual = inner_dual(cell_set)
-    edges = sum(len(nbrs) for nbrs in dual.values()) // 2
-    if edges > len(dual) - 1:
+    return _condensation(normalize_cells(cell_set))
+
+
+def _condensation(norm: tuple[Cell, ...]) -> Condensation:
+    """Class of a connected normalised cell set from its inner-dual degrees."""
+    base = max(r for _, r in norm) + 2  # no neighbour's r wraps into another q
+    ids = {q * base + r for q, r in norm}
+    a, b, c, d, e, f = (dq * base + dr for dq, dr in NEIGHBOR_OFFSETS)
+    degrees = [(i + a in ids) + (i + b in ids) + (i + c in ids)
+               + (i + d in ids) + (i + e in ids) + (i + f in ids) for i in ids]
+    if sum(degrees) // 2 > len(ids) - 1:
         return Condensation.PERICONDENSED
-    if any(len(nbrs) > 2 for nbrs in dual.values()):
+    if max(degrees) > 2:
         return Condensation.CATACONDENSED_BRANCHED
     return Condensation.CATACONDENSED_UNBRANCHED
 

@@ -85,6 +85,21 @@ class TestAnalyze:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "canonical", "validate", "embed"])
+    def test_non_ascii_digits_exit_1(self, command):
+        for text in ("\u00b23", "\u0663\u0663"):  # superscript two, Arabic-Indic threes
+            code, out, err = run_cli(command, text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_stdin_non_ascii_digit_line_is_an_error_entry(self):
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="55\n\u00b23\n4343\n")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r.get("error") for r in results] == [None, "InvalidSymbols", None]
+        assert [r["hexagons"] for r in (results[0], results[2])] == [2, 4]
+
 
 class TestSimpleCommands:
     def test_canonical(self):
@@ -194,6 +209,12 @@ class TestFamilyAndLookup:
     def test_lookup_unknown(self):
         assert run_cli("lookup", "adamantane")[0] == 3
 
+    @pytest.mark.parametrize("query", ["7", "\u0663\u0663"])
+    def test_lookup_of_a_malformed_code_is_not_found(self, query):
+        code, _, err = run_cli("lookup", query)
+        assert code == 3
+        assert err.startswith("error: no named benzenoid")
+
 
 class TestEnumerate:
     def test_json_report(self):
@@ -242,6 +263,20 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("error:") and "benzenoids_h3.txt" in err
         assert "Traceback" not in err
+
+    def test_resume_over_a_truncated_level_exits_3(self, tmp_path):
+        assert run_cli("enumerate", "--hexagons", "7", "--out", str(tmp_path))[0] == 0
+        level = tmp_path / "benzenoids_h7.txt"
+        level.write_text("".join(level.read_text().splitlines(keepends=True)[:100]))
+        report = (tmp_path / "report_h7.json").read_bytes()
+        code, out, err = run_cli(
+            "enumerate", "--hexagons", "7", "--out", str(tmp_path), "--resume"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "benzenoids_h7.txt has 100 lines, its report counts 331" in err
+        assert (tmp_path / "report_h7.json").read_bytes() == report
 
 
 class TestUnbranchedMax:

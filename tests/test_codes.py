@@ -40,7 +40,9 @@ class TestConstruction:
         assert str(BENZENE) == "6"
         assert len(BENZENE) == 1
 
-    @pytest.mark.parametrize("bad", ["", "0", "7", "56", "65", "66", "1a", "5-1"])
+    @pytest.mark.parametrize(
+        "bad", ["", "0", "7", "56", "65", "66", "1a", "5-1", "\u00b23", "\u0663\u0663", "\uff15\uff15"]
+    )
     def test_rejects_bad_symbols(self, bad):
         with pytest.raises(InvalidSymbols):
             parse_code(bad)

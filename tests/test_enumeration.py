@@ -46,6 +46,9 @@ EXPECTED_COUNTS = {
     12: 669584,
 }
 
+#: The canonical codes of level 4, in the order a run writes them.
+LEVEL_4 = ["4343", "515151", "522522", "52441", "531531", "532521", "533511"]
+
 EXPECTED_MCD = {2: 0, 3: 1, 4: 2, 5: 3, 6: 4, 7: 6, 8: 8, 9: 10, 10: 12, 11: 14, 12: 16}
 EXPECTED_EX = {2: 1, 3: 1, 4: 2, 5: 6, 6: 16, 7: 3, 8: 2, 9: 3, 10: 6, 11: 16, 12: 37}
 
@@ -177,6 +180,44 @@ class TestPersistence:
         (tmp_path / "benzenoids_h2.txt").unlink()
         with pytest.raises(ResumeError, match="benzenoids_h2.txt"):
             run_search(5, out_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            LEVEL_4[:5],
+            ["3434"] + LEVEL_4[1:],
+            [LEVEL_4[0], LEVEL_4[2], LEVEL_4[1]] + LEVEL_4[3:],
+            ["444"] + LEVEL_4[1:],
+            ["4342"] + LEVEL_4[1:],
+            ["5x1"] + LEVEL_4[1:],
+        ],
+        ids=["truncated", "not-canonical", "out-of-order", "wrong-size", "not-closed", "not-a-code"],
+    )
+    def test_resume_refuses_a_damaged_level(self, tmp_path, lines):
+        run_search(4, out_dir=tmp_path)
+        level = tmp_path / "benzenoids_h4.txt"
+        assert level.read_text().split() == LEVEL_4
+        level.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ResumeError, match="benzenoids_h4.txt"):
+            run_search(5, out_dir=tmp_path, resume=True)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("report_h3.json", None),
+            ("report_h3.json", "{"),
+            ("report_h3.json", "[]"),
+            ("benzenoids_h1.txt", "55\n"),
+        ],
+    )
+    def test_resume_refuses_a_missing_report_or_a_wrong_level_1(self, tmp_path, name, text):
+        run_search(4, out_dir=tmp_path)
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
+        with pytest.raises(ResumeError, match=name):
+            run_search(4, out_dir=tmp_path, resume=True)
 
 
 class TestUnbranchedFusenes:

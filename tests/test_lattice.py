@@ -1,8 +1,13 @@
 """Lattice walks, embeddings, tracing and cell-set symmetry."""
 
+import cmath
+import random
+
 import pytest
 
-from bechex.codes import BENZENE, canonical, parse_code
+from bechex import _kernel as kernel
+from bechex.codes import BENZENE, Code, canonical, parse_code, reverse
+from bechex.enumeration import _levels, enumerate_unbranched_fusenes
 from bechex.errors import (
     Disconnected,
     Holed,
@@ -12,6 +17,8 @@ from bechex.errors import (
 )
 from bechex.families import helicene
 from bechex.lattice import (
+    DIRECTIONS,
+    EDGE_NEIGHBOR_OFFSETS,
     NEIGHBOR_OFFSETS,
     Condensation,
     canonical_cells,
@@ -26,6 +33,77 @@ from bechex.lattice import (
 )
 
 RING = tuple((1 + dq, 1 + dr) for dq, dr in NEIGHBOR_OFFSETS)  # hole at (1, 1)
+
+#: Every shape through this size is embedded from its code in the
+#: differential tests below.
+DIFF_DEPTH = 8
+
+
+def _reference_cells(code):
+    """Cells of a simple closed walk by the earlier fill: from the cell on
+    the left of each boundary edge, flood across every cell edge that is
+    not a boundary edge, the cell's corners found from its centre."""
+    w = walk(code)
+    boundary = set()
+    cells = set()
+    for (x, y), d in zip(w.vertices, w.directions):
+        boundary.add(frozenset(((x, y), (x + DIRECTIONS[d][0], y + DIRECTIONS[d][1]))))
+        cx, cy = x + DIRECTIONS[(d + 1) % 6][0], y + DIRECTIONS[(d + 1) % 6][1]
+        q = (cx - cy - 2) // 3
+        cells.add((q, cx - 1 - 2 * q))
+    stack = list(cells)
+    while stack:
+        q, r = stack.pop()
+        cx, cy = 2 * q + r + 1, r - q - 1
+        corners = [
+            (cx + DIRECTIONS[(4 + j) % 6][0], cy + DIRECTIONS[(4 + j) % 6][1]) for j in range(6)
+        ]
+        for j, (dq, dr) in enumerate(EDGE_NEIGHBOR_OFFSETS):
+            if frozenset((corners[j], corners[(j + 1) % 6])) in boundary:
+                continue
+            if (q + dq, r + dr) not in cells:
+                cells.add((q + dq, r + dr))
+                stack.append((q + dq, r + dr))
+    return normalize_cells(cells)
+
+
+def _dual_class(cells):
+    """Condensation class from inner-dual degrees counted pair by pair."""
+    cells = list(cells)
+    degree = {cell: 0 for cell in cells}
+    edges = 0
+    for i, (q1, r1) in enumerate(cells):
+        for q2, r2 in cells[i + 1 :]:
+            if (q2 - q1, r2 - r1) in NEIGHBOR_OFFSETS:
+                edges += 1
+                degree[(q1, r1)] += 1
+                degree[(q2, r2)] += 1
+    if edges > len(cells) - 1:
+        return Condensation.PERICONDENSED
+    if max(degree.values()) > 2:
+        return Condensation.CATACONDENSED_BRANCHED
+    return Condensation.CATACONDENSED_UNBRANCHED
+
+
+def _closes(symbols) -> bool:
+    """Whether a word's edges, as unit vectors in the complex plane, sum
+    to zero with six net left turns."""
+    turn, end = 0, 0j
+    for s in symbols:
+        for step in range(s):
+            end += cmath.exp(1j * cmath.pi * turn / 3)
+            turn += 1 if step < s - 1 else -1
+    return turn == 6 and abs(end) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def shapes():
+    """(h, canonical key, canonical code) of every shape through DIFF_DEPTH."""
+    return [
+        (h, key, parse_code(kernel.trace_code(key)))
+        for h, keys in _levels(DIFF_DEPTH)
+        for key in keys
+    ]
 
 
 class TestWalk:
@@ -89,6 +167,57 @@ class TestEmbed:
         b = embed(parse_code("333333"))
         assert b.hexagons == 7
         assert b.condensation is Condensation.PERICONDENSED
+
+
+class TestFillDifferential:
+    def test_every_shape_comes_back_from_its_code(self, shapes):
+        assert len(shapes) == 1 + 1 + 3 + 7 + 22 + 81 + 331 + 1435
+        for h, key, code in shapes:
+            for word in (code, reverse(code)):
+                b = embed(word)
+                assert b.hexagons == h
+                assert kernel.canonical_key(kernel.pack_cells(b.cells)) == key
+                if h > 1:
+                    assert b.cells == _reference_cells(word)
+
+    def test_condensation_matches_inner_dual_count(self, shapes):
+        for _, key, code in shapes:
+            cells = kernel.unpack_cells(key)
+            expected = _dual_class(cells)
+            assert embed(code).condensation is expected
+            assert condensation_class(cells) is expected
+
+    def test_fusenes_self_intersect_exactly_when_the_walk_does(self):
+        for h in range(2, 12):
+            for code in enumerate_unbranched_fusenes(h):
+                if walk(code).simple:
+                    b = embed(code)
+                    assert b.hexagons == h
+                    assert b.cells == _reference_cells(code)
+                    assert b.condensation is Condensation.CATACONDENSED_UNBRANCHED
+                else:
+                    with pytest.raises(SelfIntersecting):
+                        embed(code)
+
+    def test_random_words_that_do_not_close(self):
+        rng = random.Random(20260)
+        open_words = 0
+        for _ in range(3000):
+            n = rng.randint(2, 14)
+            symbols = [rng.randint(1, 5) for _ in range(n - 1)]
+            last = 2 * n + 6 - sum(symbols)  # winding 6 whenever 1 <= last <= 5
+            symbols.append(last if 1 <= last <= 5 else rng.randint(1, 5))
+            code = Code(tuple(symbols))
+            if _closes(symbols):
+                try:
+                    embed(code)
+                except SelfIntersecting:
+                    pass
+            else:
+                open_words += 1
+                with pytest.raises(NotClosed):
+                    embed(code)
+        assert open_words > 1000
 
 
 class TestCellPredicates:
