@@ -1,7 +1,7 @@
 """Hot kernels for the enumeration engine.
 
-The compiled backend (bechex._kernel._fast, built from _fast.pyx or the
-shipped _fast.c) is used when importable; otherwise the pure-Python
+The compiled backend (bechex._kernel._fast, built from the hand-written
+_fast.c) is used when importable; otherwise the pure-Python
 backend takes over with identical semantics.  Set BECHEX_PURE=1 to force
 the pure backend.  BACKEND names the backend in use and BACKEND_REASON
 says why it was chosen: "compiled", "BECHEX_PURE", or
@@ -40,6 +40,7 @@ from .common import pack_cells, unpack_cells
 
 BACKEND = _impl.BACKEND
 canonical_key = _impl.canonical_key
+code_key = _impl.code_key
 grow = _impl.grow
 simply_connected = _impl.simply_connected
 trace_code = _impl.trace_code
@@ -49,6 +50,7 @@ __all__ = [
     "BACKEND",
     "BACKEND_REASON",
     "canonical_key",
+    "code_key",
     "code_deficit",
     "grow",
     "pack_cells",

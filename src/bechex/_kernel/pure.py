@@ -9,13 +9,15 @@ bechex._kernel._fast exactly, only speed differs.
 from __future__ import annotations
 
 from .. import lattice
-from ..codes import Code, convexity_deficit
-from .common import pack_cells, unpack_cells
+from ..codes import Code, convexity_deficit, parse_code
+from ..errors import InvalidSymbols, NotClosed, SelfIntersecting
+from .common import check_edges, check_key, pack_cells, unpack_cells
 
 BACKEND = "python"
 
 
 def canonical_key(key: bytes) -> bytes:
+    check_key(key)
     return pack_cells(lattice.canonical_cells(unpack_cells(key)))
 
 
@@ -23,6 +25,7 @@ def grow(parents) -> set:
     """Canonical keys of every one-cell extension of the given shapes."""
     out = set()
     for key in parents:
+        check_key(key)
         cells = unpack_cells(key)
         cell_set = set(cells)
         tried = set()
@@ -37,15 +40,36 @@ def grow(parents) -> set:
 
 
 def simply_connected(key: bytes) -> bool:
+    check_key(key)
     return lattice.is_simply_connected(unpack_cells(key))
 
 
 def trace_code(key: bytes) -> str:
     """Canonical boundary code of a connected hole-free packed shape."""
+    check_key(key)
     return str(lattice._boundary_code(unpack_cells(key)))
 
 
 def code_deficit(code: str) -> int:
     """Convexity deficit of a digit string; -1 when undefined."""
-    deficit = convexity_deficit(Code(tuple(int(ch) for ch in code)))
+    parsed = Code(tuple(int(ch) for ch in code))
+    if not parsed.is_benzene:
+        check_edges(sum(parsed.symbols))
+    deficit = convexity_deficit(parsed)
     return -1 if deficit is None else deficit
+
+
+def code_key(code: str) -> bytes | None:
+    """Canonical key of the shape a code bounds; None when the string is
+    not a benzenoid boundary code."""
+    if code == "6":
+        return pack_cells(((0, 0),))
+    if code != code.strip():  # parse_code would forgive the whitespace
+        return None
+    try:
+        parsed = parse_code(code)
+        check_edges(sum(parsed.symbols))
+        cells = lattice._fill(parsed)
+    except (InvalidSymbols, NotClosed, SelfIntersecting):
+        return None
+    return canonical_key(pack_cells(cells))

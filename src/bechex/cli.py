@@ -1,13 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed code string, 2 code that cannot be
-embedded as a benzenoid, 3 usage errors (bad arguments, unknown names).
+embedded as a benzenoid, 3 usage errors (bad arguments, unknown names),
+141 (128 + SIGPIPE) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from dataclasses import asdict
 
@@ -407,7 +410,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone, as in `bechex ... | head`.  Point stdout at
+        # /dev/null so the flush at exit cannot fail again, and exit as a
+        # process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + signal.SIGPIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

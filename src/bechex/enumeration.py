@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _kernel as kernel
-from .codes import Code, canonical, convexity_deficit, parse_code
+from .codes import Code, canonical, convexity_deficit
 from .errors import BechexError, NotClosed, ResourceLimit, ResumeError, SelfIntersecting
-from .lattice import _fill, condensation_class, embed
+from .lattice import condensation_class, embed
 
 __all__ = [
     "DEFAULT_MAX_H",
@@ -104,8 +104,8 @@ def _level_path(out_dir: Path, h: int) -> Path:
     return out_dir / f"benzenoids_h{h}.txt"
 
 
-def _load_level(out_dir: Path, h: int) -> list[bytes]:
-    """Sorted canonical keys of a stored level.
+def _load_level(out_dir: Path, h: int) -> tuple[list[bytes], list[str]]:
+    """Canonical keys of a stored level and their codes, in file order.
 
     Raises ResumeError unless the file holds exactly what a finished run
     writes: strictly increasing canonical codes of h-hexagon shapes, as
@@ -119,7 +119,7 @@ def _load_level(out_dir: Path, h: int) -> list[bytes]:
     if h == 1:
         if lines != ["6"]:
             raise ResumeError(f"cannot resume: level file {path} is not the single line 6")
-        return [kernel.pack_cells(((0, 0),))]
+        return [kernel.pack_cells(((0, 0),))], lines
     report_path = out_dir / f"report_h{h}.json"
     try:
         count = json.loads(report_path.read_text("ascii"))["count"]
@@ -133,18 +133,17 @@ def _load_level(out_dir: Path, h: int) -> list[bytes]:
     previous = ""
     for number, line in enumerate(lines, 1):
         try:
-            cells = _fill(parse_code(line))
+            key = kernel.code_key(line)
         except BechexError as exc:
             raise ResumeError(f"cannot resume: line {number} of {path}: {exc}") from None
-        key = kernel.canonical_key(kernel.pack_cells(cells))
-        if line <= previous or len(cells) != h or kernel.trace_code(key) != line:
+        if key is None or line <= previous or len(key) != 2 * h or kernel.trace_code(key) != line:
             raise ResumeError(
                 f"cannot resume: line {number} of {path}, {line!r}, is not the next "
                 f"canonical code of a {h}-hexagon shape"
             )
         previous = line
         keys.append(key)
-    return sorted(keys)
+    return keys, lines
 
 
 def _levels(
@@ -154,12 +153,14 @@ def _levels(
     out_dir: Path | None = None,
     resume: bool = False,
 ):
-    """Yield (h, sorted canonical keys) for every level from 1 to h_max.
+    """Yield (h, canonical keys, codes) for every level from 1 to h_max.
 
     Every enumeration runs through this loop.  It refuses h_max above
     ``max_h`` and more workers than CPU cores before any level is built.
-    With ``resume``, the levels stored in ``out_dir`` are read back and
-    only the levels above them are grown.
+    A grown level has sorted keys and codes None.  With ``resume``, the
+    levels stored in ``out_dir`` are read back and only the levels above
+    them are grown; a stored level comes with its checked codes, each
+    beside its key, in code order.
     """
     if h_max < 1:
         raise ValueError("h must be >= 1")
@@ -175,17 +176,18 @@ def _levels(
         stored = next((h for h in range(h_max, 0, -1) if _level_path(out_dir, h).is_file()), 0)
     keys: list[bytes] = []
     for h in range(1, h_max + 1):
+        codes = None
         if h <= stored:
-            keys = _load_level(out_dir, h)
+            keys, codes = _load_level(out_dir, h)
         elif h == 1:
             keys = [kernel.pack_cells(((0, 0),))]
         else:
             keys = sorted(k for k in _grow(keys, workers) if kernel.simply_connected(k))
-        yield h, keys
+        yield h, keys, codes
 
 
 def _last_level(h: int, workers: int, max_h: int | None) -> list[bytes]:
-    for _, keys in _levels(h, workers, max_h):
+    for _, keys, _ in _levels(h, workers, max_h):
         pass
     return keys
 
@@ -207,20 +209,24 @@ def _write_codes(path: Path, codes) -> None:
     path.write_text("".join(code + "\n" for code in codes), "ascii")
 
 
-def _level_report(h: int, keys: list[bytes], out_dir: Path | None = None) -> EnumerationReport:
-    """Trace every shape of level h and fold the deficits into a report.
+def _level_report(
+    h: int, keys: list[bytes], out_dir: Path | None = None, codes: list[str] | None = None
+) -> EnumerationReport:
+    """Fold the deficits of level h into a report.
 
-    With ``out_dir``, also write the level's sorted codes and, from h = 2
-    on, its report and extremal codes.
+    ``codes`` holds the code of each key when it is known already;
+    without it every shape is traced.  With ``out_dir``, also write the
+    level's sorted codes and, from h = 2 on, its report and extremal codes.
     """
-    pairs = [(kernel.trace_code(key), key) for key in keys]
+    if codes is None:
+        codes = [kernel.trace_code(key) for key in keys]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_codes(_level_path(out_dir, h), sorted(code for code, _ in pairs))
+        _write_codes(_level_path(out_dir, h), sorted(codes))
     distribution: Counter[int] = Counter()
     best = -1
     extremal: list[tuple[str, bytes]] = []
-    for code, key in pairs:
+    for code, key in zip(codes, keys):
         deficit = kernel.code_deficit(code)
         distribution[deficit] += 1
         if deficit > best:
@@ -270,7 +276,7 @@ def run_search(
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     levels = _levels(h_max, workers, out_dir=out_dir, resume=resume)
-    reports = [_level_report(h, keys, out_dir) for h, keys in levels]
+    reports = [_level_report(h, keys, out_dir, codes) for h, keys, codes in levels]
     return reports[1:]  # level 1, benzene alone, has no report
 
 

@@ -26,7 +26,7 @@ class EnumerationSession:
         self.reports = {}
         self.keys = {}
         self.counts = {}
-        for h, keys in _levels(FULL_DEPTH):
+        for h, keys, _ in _levels(FULL_DEPTH):
             self.counts[h] = len(keys)
             if h <= KEEP_KEYS_DEPTH:
                 self.keys[h] = keys

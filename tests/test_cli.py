@@ -306,6 +306,24 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout == "5351\n"
 
+    def test_reader_closing_early_exits_141(self):
+        # About 450 KB of --json output, far beyond a 64 KB pipe buffer.
+        batch = "5351\n" * 2000
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bechex.cli", "analyze", "--stdin", "--json"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdin.write(batch.encode())
+        proc.stdin.close()
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in stderr
+
     def test_unknown_subcommand_exits_3(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bechex.cli", "frobnicate"],

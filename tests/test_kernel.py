@@ -1,60 +1,28 @@
-"""Kernel backends: the shipped C source, backend choice, and parity.
+"""Kernel backends: backend choice, parity, code filling and size limits.
 
-``_fast.c`` is generated from ``_fast.pyx`` by Cython but is also a build
-input in its own right (setup.py compiles it when Cython is missing), so
-it must not drift from the .pyx it claims to come from.  The compiled and
-pure-Python backends must agree exactly on every kernel entry point.
+The compiled and pure-Python backends must agree exactly on every kernel
+entry point, and both refuse input above the limits in common.py.
 """
 
 from __future__ import annotations
 
 import os
-import re
+import random
 import subprocess
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
 import bechex._kernel as kernel
 from bechex._kernel import pack_cells, pure, unpack_cells
+from bechex._kernel.common import MAX_CELLS, MAX_GRID, MAX_PERIMETER
+from bechex.codes import parse_code
+from bechex.enumeration import _levels, enumerate_unbranched_fusenes
+from bechex.errors import NotClosed, ResourceLimit
+from bechex.lattice import DIRECTIONS, NEIGHBOR_OFFSETS, is_simply_connected, trace, walk
 
-KERNEL_DIR = Path(kernel.__file__).resolve().parent
 PARITY_DEPTH = 8
-
-_BLOCK_START = re.compile(r'^\s*/\* "bechex/_kernel/_fast\.pyx":(\d+)$')
-_MARKER = "# <<<<<<<<<<<<<<"
-
-
-def _marked_lines(c_text: str):
-    """Yield (pyx line number, marked source line) for every source
-    comment block Cython wrote into the C file."""
-    lines = c_text.splitlines()
-    for i, line in enumerate(lines):
-        match = _BLOCK_START.match(line)
-        if not match:
-            continue
-        for body in lines[i + 1 :]:
-            if body.strip() == "*/":
-                raise AssertionError(f"C line {i + 1}: block without a marked line")
-            if body.endswith(_MARKER):
-                yield int(match.group(1)), body[len(" * ") : -len(_MARKER)]
-                break
-
-
-class TestShippedSource:
-    def test_c_source_matches_pyx(self):
-        pyx = (KERNEL_DIR / "_fast.pyx").read_text("utf-8").splitlines()
-        marked = list(_marked_lines((KERNEL_DIR / "_fast.c").read_text("utf-8")))
-        assert len(marked) > 200
-        drift = [
-            (n, text.rstrip(), pyx[n - 1].rstrip() if n <= len(pyx) else None)
-            for n, text in marked
-            if n > len(pyx) or text.rstrip() != pyx[n - 1].rstrip()
-        ]
-        assert drift == [], f"_fast.c is out of date with _fast.pyx: {drift[:5]}"
-
 
 _BLOCK_FAST = """
 import importlib.abc, sys
@@ -140,3 +108,171 @@ class TestBackendParity:
             if h + 1 >= 6:
                 assert not all(simple), "holed children appear from h = 6"
             level = [key for key, ok in zip(raw, simple) if ok]
+
+
+CODE_KEY_DEPTH = 10
+REVERSED_DEPTH = 8
+FUSENE_DEPTH = 11
+
+
+@pytest.fixture(scope="module", params=["python", "c"])
+def backend(request):
+    """Each kernel backend in turn; the compiled one only when built."""
+    if request.param == "python":
+        return pure
+    try:
+        return import_module("bechex._kernel._fast")
+    except ImportError as exc:
+        pytest.skip(f"compiled kernel not built ({exc})")
+
+
+@pytest.fixture(scope="module")
+def level_lines():
+    """(key, code) of every shape through CODE_KEY_DEPTH: the lines of the
+    level files and the keys they stand for."""
+    return {
+        h: [(key, kernel.trace_code(key)) for key in keys]
+        for h, keys, _ in _levels(CODE_KEY_DEPTH)
+    }
+
+
+class TestCodeKey:
+    """code_key against the enumerated keys, on both backends."""
+
+    def test_every_level_file_line_gives_its_key(self, backend, level_lines):
+        for h, lines in level_lines.items():
+            assert [backend.code_key(code) for _, code in lines] == [key for key, _ in lines], h
+
+    def test_a_reversed_code_gives_the_same_key(self, backend, level_lines):
+        for h in range(2, REVERSED_DEPTH + 1):
+            for key, code in level_lines[h]:
+                assert backend.code_key(code[::-1]) == key, code
+
+    def test_self_intersecting_fusenes_give_none(self, backend):
+        crossing = [
+            str(code)
+            for h in range(2, FUSENE_DEPTH + 1)
+            for code in enumerate_unbranched_fusenes(h)
+            if not walk(code).simple
+        ]
+        assert len(crossing) > 100
+        assert [code for code in crossing if backend.code_key(code) is not None] == []
+
+    def test_words_that_do_not_close_give_none(self, backend):
+        rng = random.Random(6)
+        words = []
+        while len(words) < 2000:
+            word = "".join(rng.choice("12345") for _ in range(rng.randint(1, 60)))
+            try:
+                walk(parse_code(word))
+            except NotClosed:
+                words.append(word)
+        assert [word for word in words if backend.code_key(word) is not None] == []
+
+    def test_walks_that_close_clockwise_or_crossed_give_none(self, backend):
+        rng = random.Random(6)
+        words, clockwise = [], 0
+        while len(words) < 150:
+            word = "".join(rng.choice("1123") for _ in range(rng.randint(6, 30)))
+            x = y = turn = 0
+            vertices = []
+            for s in map(int, word):
+                for step in range(s):
+                    vertices.append((x, y))
+                    dx, dy = DIRECTIONS[turn % 6]
+                    x, y, turn = x + dx, y + dy, turn + (1 if step < s - 1 else -1)
+            if (x, y) == (0, 0) and turn != 6:
+                words.append(word)
+                clockwise += turn == -6 and len(set(vertices)) == len(vertices)
+        assert clockwise > 20  # simple boundaries walked with the inside on the right
+        assert [word for word in words if backend.code_key(word) is not None] == []
+
+    @pytest.mark.parametrize("text", ["5x1", "²3", "", "٣٣", " 55", "55\n", "66", "0", "565"])
+    def test_strings_that_are_not_codes_give_none(self, backend, text):
+        assert backend.code_key(text) is None
+
+    def test_benzene(self, backend):
+        assert backend.code_key("6") == pack_cells(((0, 0),))
+
+
+def _random_benzenoid(rng: random.Random, n: int) -> tuple:
+    """n cells grown from one, each new cell a free neighbour whose occupied
+    neighbours form one arc, so the shape stays free of holes."""
+    cells = [(0, 0)]
+    occupied = set(cells)
+    while len(cells) < n:
+        q, r = rng.choice(cells)
+        dq, dr = rng.choice(NEIGHBOR_OFFSETS)
+        q, r = q + dq, r + dr
+        ring = [(q + a, r + b) in occupied for a, b in NEIGHBOR_OFFSETS]
+        if (q, r) in occupied or sum(ring[i] and not ring[i - 1] for i in range(6)) != 1:
+            continue
+        cells.append((q, r))
+        occupied.add((q, r))
+    return tuple(cells)
+
+
+def _l_shape(arm: int) -> tuple:
+    """Two straight arms of `arm` cells from a corner cell: (arm + 3) ** 2 grid slots."""
+    return ((0, 0),) + tuple((i, 0) for i in range(1, arm + 1)) + tuple((0, i) for i in range(1, arm + 1))
+
+
+class TestLimits:
+    """One set of size limits, MAX_CELLS, MAX_GRID and MAX_PERIMETER in
+    common.py, on large seeded random input."""
+
+    def test_large_random_benzenoids_agree(self, fast):
+        rng = random.Random(250)
+        for n in [MAX_CELLS, MAX_CELLS] + [rng.randint(100, MAX_CELLS) for _ in range(10)]:
+            cells = _random_benzenoid(rng, n)
+            assert is_simply_connected(cells)
+            key = pack_cells(cells)
+            canon = pure.canonical_key(key)
+            assert fast.canonical_key(key) == canon
+            assert fast.simply_connected(key) is pure.simply_connected(key) is True
+            code = pure.trace_code(canon)
+            assert fast.trace_code(canon) == code == str(trace(cells))
+            assert fast.code_deficit(code) == pure.code_deficit(code)
+            assert fast.code_key(code) == pure.code_key(code) == canon
+            assert fast.code_key(code[::-1]) == canon
+
+    def test_a_grown_shape_at_the_cell_limit_agrees(self, fast):
+        key = pack_cells(_random_benzenoid(random.Random(1), MAX_CELLS))
+        assert fast.grow([key]) == pure.grow([key])
+
+    def test_random_keys_agree(self, fast):
+        rng = random.Random(68)
+        for _ in range(40):
+            key = bytes(rng.randrange(41) for _ in range(2 * rng.randint(1, MAX_CELLS)))
+            assert fast.canonical_key(key) == pure.canonical_key(key)
+            assert fast.simply_connected(key) == pure.simply_connected(key)
+
+    def test_keys_above_the_limits_raise(self, backend):
+        rng = random.Random(251)
+        too_many = pack_cells(_random_benzenoid(rng, MAX_CELLS + 1))
+        arm = int(MAX_GRID**0.5) - 3
+        assert (arm + 3) ** 2 == MAX_GRID
+        backend.canonical_key(pack_cells(_l_shape(arm)))
+        too_wide = pack_cells(_l_shape(arm + 1))
+        for key in (too_many, too_wide):
+            for entry in (backend.canonical_key, backend.simply_connected, backend.trace_code):
+                with pytest.raises(ResourceLimit):
+                    entry(key)
+            with pytest.raises(ResourceLimit):
+                backend.grow([key])
+
+    def test_codes_above_the_limits_raise(self, backend):
+        # A straight chain of n cells has 4n + 2 edges.
+        chain = "5" + "2" * 254 + "5" + "2" * 254
+        assert sum(map(int, chain)) == MAX_PERIMETER + 2
+        for code in (chain, "1" * (MAX_PERIMETER + 1)):
+            for entry in (backend.code_key, backend.code_deficit):
+                with pytest.raises(ResourceLimit):
+                    entry(code)
+        assert backend.code_key("1" * MAX_PERIMETER) is None
+        assert backend.code_deficit("5" + "2" * 252 + "5" + "2" * 252) == 0
+        too_many = _random_benzenoid(random.Random(9), MAX_CELLS + 1)
+        too_wide = _l_shape(int(MAX_GRID**0.5) - 2)
+        for shape in (too_many, too_wide):
+            with pytest.raises(ResourceLimit):
+                backend.code_key(str(trace(shape)))

@@ -101,7 +101,7 @@ def shapes():
     """(h, canonical key, canonical code) of every shape through DIFF_DEPTH."""
     return [
         (h, key, parse_code(kernel.trace_code(key)))
-        for h, keys in _levels(DIFF_DEPTH)
+        for h, keys, _ in _levels(DIFF_DEPTH)
         for key in keys
     ]
 
