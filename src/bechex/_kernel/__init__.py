@@ -1,12 +1,14 @@
 """Hot kernels for the enumeration engine.
 
-The compiled backend (bechex._kernel._fast, built from the hand-written
-_fast.c) is used when importable; otherwise the pure-Python
-backend takes over with identical semantics.  Set BECHEX_PURE=1 to force
-the pure backend.  BACKEND names the backend in use and BACKEND_REASON
-says why it was chosen: "compiled", "BECHEX_PURE", or
-"fallback: <import error>".  A fallback is logged once as a warning on
-the "bechex" logger.
+Four entries make the kernel contract: ``grow`` (the canonical keys of
+the hole-free one-cell extensions of hole-free shapes, by the one-arc
+rule), ``trace_code``, ``code_deficit`` and ``code_key``.  The compiled
+backend (bechex._kernel._fast, built from the hand-written _fast.c) is
+used when importable; otherwise the pure-Python backend takes over with
+identical semantics.  Set BECHEX_PURE=1 to force the pure backend.
+BACKEND names the backend in use and BACKEND_REASON says why it was
+chosen: "compiled", "BECHEX_PURE", or "fallback: <import error>".  A
+fallback is logged once as a warning on the "bechex" logger.
 """
 
 from __future__ import annotations
@@ -39,22 +41,18 @@ else:
 from .common import pack_cells, unpack_cells
 
 BACKEND = _impl.BACKEND
-canonical_key = _impl.canonical_key
 code_key = _impl.code_key
 grow = _impl.grow
-simply_connected = _impl.simply_connected
 trace_code = _impl.trace_code
 code_deficit = _impl.code_deficit
 
 __all__ = [
     "BACKEND",
     "BACKEND_REASON",
-    "canonical_key",
     "code_key",
     "code_deficit",
     "grow",
     "pack_cells",
-    "simply_connected",
     "trace_code",
     "unpack_cells",
 ]

@@ -1,5 +1,5 @@
-/* Compiled kernel backend: canonical cell keys, one-cell growth, the hole
- * filter, boundary tracing, the convexity deficit and code filling.
+/* Compiled kernel backend: one-cell growth that keeps only hole-free
+ * children, boundary tracing, the convexity deficit and code filling.
  *
  * Mirrors bechex._kernel.pure, the reference that every entry point here
  * must agree with; bechex._kernel picks a backend at import.  Shapes
@@ -144,17 +144,19 @@ decode(PyObject *key, int *q, int *r, int *width, int *height)
     return n;
 }
 
-static PyObject *
-canonical_key(PyObject *Py_UNUSED(module), PyObject *key)
+/* True when cell (q, r) of a decoded shape is occupied.  Cells off its
+ * grid are free, so this may be asked up to two cells past the shape. */
+static int
+occupied(const unsigned char *occ, int width, int height, int q, int r)
 {
-    int q[CAP_CELLS], r[CAP_CELLS], width, height;
-    int n = decode(key, q, r, &width, &height);
-    if (n < 0)
-        return NULL;
-    return key_from_cells(q, r, n);
+    return q >= -1 && q < width - 1 && r >= -1 && r < height - 1
+           && occ[(q + 1) * height + r + 1] == 1;
 }
 
-/* Add the canonical key of every one-cell extension of key to out. */
+/* Add to out the canonical key of every one-cell extension of key that
+ * stays hole-free: for a hole-free parent, that is a free neighbour whose
+ * occupied neighbours form one arc, so exactly one of them is followed
+ * counter-clockwise by a free one. */
 static int
 grow_one(PyObject *key, PyObject *out)
 {
@@ -173,6 +175,13 @@ grow_one(PyObject *key, PyObject *out)
             if (occ[slot])
                 continue;
             occ[slot] = 2; /* tried */
+            int ring = 0;
+            for (int j = 0; j < 6; j++)
+                ring |= occupied(occ, width, height, nq + NQ[j], nr + NR[j]) << j;
+            /* bit j: neighbour j occupied and neighbour j + 1 free */
+            int ends = ring & ~(ring >> 1 | ring << 5) & 63;
+            if (ends == 0 || ends & (ends - 1))
+                continue;
             q[n] = nq;
             r[n] = nr;
             PyObject *child = key_from_cells(q, r, n + 1);
@@ -210,39 +219,6 @@ fail:
     Py_XDECREF(it);
     Py_DECREF(out);
     return NULL;
-}
-
-static PyObject *
-simply_connected(PyObject *Py_UNUSED(module), PyObject *key)
-{
-    int q[CAP_CELLS], r[CAP_CELLS], width, height;
-    unsigned char occ[CAP_GRID];
-    int stack[CAP_GRID];
-    int n = decode(key, q, r, &width, &height);
-    if (n < 0)
-        return NULL;
-    memset(occ, 0, width * height);
-    for (int i = 0; i < n; i++)
-        occ[(q[i] + 1) * height + r[i] + 1] = 1;
-    /* flood the complement from the margin corner (-1, -1) */
-    occ[0] = 2;
-    stack[0] = 0;
-    int top = 1;
-    while (top) {
-        int slot = stack[--top];
-        int gq = slot / height, gr = slot % height;
-        for (int k = 0; k < 6; k++) {
-            int nq = gq + NQ[k], nr = gr + NR[k];
-            if (nq < 0 || nq >= width || nr < 0 || nr >= height || occ[nq * height + nr])
-                continue;
-            occ[nq * height + nr] = 2;
-            stack[top++] = nq * height + nr;
-        }
-    }
-    for (int slot = 0; slot < width * height; slot++)
-        if (!occ[slot])
-            Py_RETURN_FALSE;
-    Py_RETURN_TRUE;
 }
 
 static PyObject *
@@ -528,15 +504,11 @@ code_key(PyObject *Py_UNUSED(module), PyObject *code)
 }
 
 static PyMethodDef methods[] = {
-    {"canonical_key", canonical_key, METH_O,
-     "canonical_key($module, key, /)\n--\n\n"
-     "Least packed form of a shape over the 12 lattice symmetries."},
     {"grow", grow, METH_O,
      "grow($module, parents, /)\n--\n\n"
-     "Canonical keys of every one-cell extension of the given shapes."},
-    {"simply_connected", simply_connected, METH_O,
-     "simply_connected($module, key, /)\n--\n\n"
-     "True when the shape's complement has a single component."},
+     "Canonical keys of the hole-free one-cell extensions of the given\n"
+     "hole-free shapes: a free neighbour is added when its occupied\n"
+     "neighbours form one arc."},
     {"trace_code", trace_code, METH_O,
      "trace_code($module, key, /)\n--\n\n"
      "Canonical boundary code of a connected hole-free packed shape."},

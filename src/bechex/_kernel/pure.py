@@ -3,26 +3,26 @@
 Thin adapters over the reference implementations in bechex.codes and
 bechex.lattice, working on byte-packed cell keys.  Used when the compiled
 extension is unavailable or BECHEX_PURE is set; semantics match
-bechex._kernel._fast exactly, only speed differs.
+bechex._kernel._fast exactly, only speed differs.  ``grow`` keeps only
+hole-free children, by the one-arc rule, so no separate hole filter runs.
 """
 
 from __future__ import annotations
 
 from .. import lattice
-from ..codes import Code, convexity_deficit, parse_code
-from ..errors import InvalidSymbols, NotClosed, SelfIntersecting
+from ..codes import Code, convexity_deficit
+from ..errors import NotClosed, SelfIntersecting
 from .common import check_edges, check_key, pack_cells, unpack_cells
+
+__all__ = ["BACKEND", "code_deficit", "code_key", "grow", "trace_code"]
 
 BACKEND = "python"
 
 
-def canonical_key(key: bytes) -> bytes:
-    check_key(key)
-    return pack_cells(lattice.canonical_cells(unpack_cells(key)))
-
-
 def grow(parents) -> set:
-    """Canonical keys of every one-cell extension of the given shapes."""
+    """Canonical keys of the hole-free one-cell extensions of hole-free
+    shapes: a free neighbour joins when its occupied neighbours form one
+    arc, so exactly one of them is followed counter-clockwise by a free one."""
     out = set()
     for key in parents:
         check_key(key)
@@ -35,13 +35,10 @@ def grow(parents) -> set:
                 if nb in cell_set or nb in tried:
                     continue
                 tried.add(nb)
-                out.add(pack_cells(lattice.canonical_cells(cells + (nb,))))
+                ring = [(nb[0] + a, nb[1] + b) in cell_set for a, b in lattice.NEIGHBOR_OFFSETS]
+                if sum(ring[j - 1] and not ring[j] for j in range(6)) == 1:
+                    out.add(pack_cells(lattice.canonical_cells(cells + (nb,))))
     return out
-
-
-def simply_connected(key: bytes) -> bool:
-    check_key(key)
-    return lattice.is_simply_connected(unpack_cells(key))
 
 
 def trace_code(key: bytes) -> str:
@@ -50,12 +47,23 @@ def trace_code(key: bytes) -> str:
     return str(lattice._boundary_code(unpack_cells(key)))
 
 
+def _symbols(code: str) -> tuple[int, ...] | None:
+    """Symbols of a non-empty ASCII word over 1..5, else None."""
+    if not code or code.strip("12345"):
+        return None
+    symbols = tuple(map(int, code))
+    check_edges(sum(symbols))
+    return symbols
+
+
 def code_deficit(code: str) -> int:
     """Convexity deficit of a digit string; -1 when undefined."""
-    parsed = Code(tuple(int(ch) for ch in code))
-    if not parsed.is_benzene:
-        check_edges(sum(parsed.symbols))
-    deficit = convexity_deficit(parsed)
+    if code == "6":
+        return 0
+    symbols = _symbols(code)
+    if symbols is None:
+        raise ValueError(f"bad symbol in code: {code!r}")
+    deficit = convexity_deficit(Code(symbols))
     return -1 if deficit is None else deficit
 
 
@@ -64,12 +72,12 @@ def code_key(code: str) -> bytes | None:
     not a benzenoid boundary code."""
     if code == "6":
         return pack_cells(((0, 0),))
-    if code != code.strip():  # parse_code would forgive the whitespace
+    symbols = _symbols(code)
+    if symbols is None:
         return None
     try:
-        parsed = parse_code(code)
-        check_edges(sum(parsed.symbols))
-        cells = lattice._fill(parsed)
-    except (InvalidSymbols, NotClosed, SelfIntersecting):
+        cells = lattice._fill(Code(symbols))
+    except (NotClosed, SelfIntersecting):
         return None
-    return canonical_key(pack_cells(cells))
+    check_key(pack_cells(cells))
+    return pack_cells(lattice.canonical_cells(cells))

@@ -3,7 +3,9 @@
 Benzenoids are generated level by level: every shape with h hexagons is
 obtained by attaching one free neighbour cell to a shape with h - 1,
 deduplicated by the canonical cell key (12 lattice symmetries plus
-translation) and filtered through the hole test.  Two shapes count as the
+translation).  The kernel's grow adds a cell only when its occupied
+neighbours form one arc, which is exactly when a hole-free shape stays
+hole-free, so no separate hole filter runs.  Two shapes count as the
 same benzenoid exactly when they agree up to rotation, reflection and
 translation.  The hot loops run in bechex._kernel.
 """
@@ -84,7 +86,7 @@ def _grow_chunk(chunk: list[bytes]) -> set[bytes]:
 
 
 def _grow(parents: list[bytes], workers: int) -> set[bytes]:
-    """Raw canonical child keys of one level, before the hole filter.
+    """Canonical keys of the hole-free children of one level.
 
     The result is a set union over worker partitions, so it cannot depend
     on the worker count or on scheduling.
@@ -182,7 +184,7 @@ def _levels(
         elif h == 1:
             keys = [kernel.pack_cells(((0, 0),))]
         else:
-            keys = sorted(k for k in _grow(keys, workers) if kernel.simply_connected(k))
+            keys = sorted(_grow(keys, workers))
         yield h, keys, codes
 
 

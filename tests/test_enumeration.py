@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from bechex import enumeration
 from bechex.codes import canonical, convexity_deficit, parse_code
 from bechex.enumeration import (
     _grow,
@@ -141,13 +142,25 @@ class TestReports:
 
 
 class TestGrowth:
-    def test_worker_count_does_not_change_results(self, enumeration_session):
-        level4 = enumeration_session.keys[4]
-        assert _grow(level4, workers=1) == _grow(level4, workers=3)
+    def test_worker_count_does_not_change_results(self, enumeration_session, monkeypatch):
+        monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 2)  # start the pool
+        level6 = enumeration_session.keys[6]
+        assert _grow(level6, workers=2) == _grow(level6, workers=1)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two cores")
+    def test_two_workers_write_the_same_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 2)  # start the pool
+        one = run_search(8, workers=1, out_dir=tmp_path / "one")
+        two = run_search(8, workers=2, out_dir=tmp_path / "two")
+        assert [r.to_dict() for r in one] == [r.to_dict() for r in two]
+        names = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "two").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_every_parent_extends(self, enumeration_session):
         grown = _grow(enumeration_session.keys[3], workers=1)
-        assert len(grown) >= len(enumeration_session.keys[4])
+        assert sorted(grown) == enumeration_session.keys[4]
 
 
 class TestPersistence:
