@@ -11,7 +11,7 @@ setup(
         Extension(
             "bechex._kernel._fast",
             ["src/bechex/_kernel/_fast.c"],
-            extra_compile_args=["-O3"],
+            extra_compile_args=["-O3", "-Wall", "-Wextra"],
             optional=True,
         )
     ]

@@ -49,6 +49,8 @@ def trace_code(key: bytes) -> str:
 
 def _symbols(code: str) -> tuple[int, ...] | None:
     """Symbols of a non-empty ASCII word over 1..5, else None."""
+    if not isinstance(code, str):
+        raise TypeError(f"a code must be str, not {type(code).__name__}")
     if not code or code.strip("12345"):
         return None
     symbols = tuple(map(int, code))

@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed code string, 2 code that cannot be
-embedded as a benzenoid, 3 usage errors (bad arguments, unknown names),
-141 (128 + SIGPIPE) when the reader of standard output closed it early.
+embedded as a benzenoid, 3 usage errors (bad arguments, unknown names,
+out-of-range options, files that cannot be read or written), 141
+(128 + SIGPIPE) when the reader of standard output closed it early.
+``main`` alone turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -22,18 +24,23 @@ from .errors import (
     Holed,
     InvalidSymbols,
     NotClosed,
-    NotFound,
     ParamOutOfRange,
-    ResourceLimit,
     SelfIntersecting,
 )
-from .lattice import Benzenoid, embed
+from .lattice import embed
 from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
 _EXIT_BAD_CODE = 1
 _EXIT_NOT_EMBEDDABLE = 2
 _EXIT_USAGE = 3
+
+#: Exit code of each exception a command may raise, first match wins.
+_EXIT_CODES = (
+    (InvalidSymbols, _EXIT_BAD_CODE),
+    ((NotClosed, SelfIntersecting, Disconnected, Holed), _EXIT_NOT_EMBEDDABLE),
+    ((BechexError, OSError), _EXIT_USAGE),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,14 +59,6 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _parse_or_die(text: str) -> Code:
-    try:
-        return parse_code(text)
-    except InvalidSymbols as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(_EXIT_BAD_CODE)
 
 
 def _analyze_one(code: Code) -> dict:
@@ -97,14 +96,10 @@ def _analyze_lines(payload: dict):
 
 
 def _cmd_analyze(args) -> int:
-    texts = []
     if args.stdin:
         texts = [line.strip() for line in sys.stdin if line.strip()]
-    elif args.code is not None:
-        texts = [args.code]
     else:
-        print("error: provide a code or --stdin", file=sys.stderr)
-        return _EXIT_USAGE
+        texts = [args.code]
     results = []
     for text in texts:
         try:
@@ -129,14 +124,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    code = _parse_or_die(args.code)
+    code = parse_code(args.code)
     canon = canonical(code)
     _emit({"code": str(code), "canonical": str(canon)}, args.json, [str(canon)])
     return _EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    code = _parse_or_die(args.code)
+    code = parse_code(args.code)
     try:
         shape = embed(code)
     except BechexError as exc:
@@ -153,17 +148,9 @@ def _cmd_validate(args) -> int:
     return _EXIT_OK
 
 
-def _embed_or_die(code: Code) -> Benzenoid:
-    try:
-        return embed(code)
-    except (NotClosed, SelfIntersecting, Disconnected, Holed) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(_EXIT_NOT_EMBEDDABLE)
-
-
 def _cmd_embed(args) -> int:
-    code = _parse_or_die(args.code)
-    shape = _embed_or_die(code)
+    code = parse_code(args.code)
+    shape = embed(code)
     cells = [list(c) for c in shape.cells]
     if args.cells_out:
         with open(args.cells_out, "w", encoding="utf-8") as fh:
@@ -182,28 +169,27 @@ def _cmd_embed(args) -> int:
 
 def _read_cells(path: str):
     cells = []
-    with open(path, encoding="utf-8") as fh:
+    # An undecodable byte becomes U+FFFD and so makes its line a bad cell line.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                print(f"error: bad cell line {raw!r}", file=sys.stderr)
-                raise SystemExit(_EXIT_USAGE)
-            cells.append((int(parts[0]), int(parts[1])))
+            try:
+                q, r = map(int, line.split())
+            except ValueError:
+                raise ParamOutOfRange(f"bad cell line {raw!r}") from None
+            cells.append((q, r))
+    if not cells:
+        raise ParamOutOfRange("empty cell file")
     return tuple(cells)
 
 
 def _cmd_render(args) -> int:
     if args.cells:
         cells = _read_cells(args.cells)
-        if not cells:
-            print("error: empty cell file", file=sys.stderr)
-            return _EXIT_USAGE
     else:
-        code = _parse_or_die(args.code)
-        cells = _embed_or_die(code).cells
+        cells = embed(parse_code(args.code)).cells
     options = RenderOptions(
         edge_length=args.edge_length,
         label_cells=args.labels,
@@ -233,16 +219,9 @@ def _cmd_family(args) -> int:
             for fid in families.FAMILY_IDS:
                 print(f"{fid:10s} {families.family_description(fid)}")
         return _EXIT_OK
-    if not args.family:
-        print("error: provide a family id or --list", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        code = families.generate(args.family, *args.params)
-        h = families.expected_h(args.family, *args.params)
-        cd = families.expected_cd(args.family, *args.params)
-    except (NotFound, ParamOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    code = families.generate(args.family, *args.params)
+    h = families.expected_h(args.family, *args.params)
+    cd = families.expected_cd(args.family, *args.params)
     payload = {
         "family": args.family.lower(),
         "params": list(args.params),
@@ -275,14 +254,7 @@ def _cmd_lookup(args) -> int:
             for item in items:
                 print(f"{item.bec:24s} h={item.hexagons:<3d} {item.name}")
         return _EXIT_OK
-    if not args.query:
-        print("error: provide a name, a code, or --all", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        item = families.lookup(args.query)
-    except NotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    item = families.lookup(args.query)
     payload = _compound_payload(item)
     lines = [
         f"name:     {item.name}",
@@ -301,22 +273,11 @@ def _cmd_lookup(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.hexagons < 1:
-        print("error: --hexagons must be at least 1", file=sys.stderr)
-        return _EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return _EXIT_USAGE
     if args.resume and not args.out:
-        print("error: --resume needs --out", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        reports = enumeration.run_search(
-            args.hexagons, workers=args.threads, out_dir=args.out, resume=args.resume
-        )
-    except BechexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ParamOutOfRange("--resume needs --out")
+    reports = enumeration.run_search(
+        args.hexagons, workers=args.threads, out_dir=args.out, resume=args.resume
+    )
     if args.json:
         _emit({"levels": [r.to_dict() for r in reports]}, True, [])
     else:
@@ -329,14 +290,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_unbranched_max(args) -> int:
-    if args.hexagons < 2:
-        print("error: --hexagons must be at least 2", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        value, witnesses = enumeration.max_cd_unbranched_benzenoids(args.hexagons)
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    value, witnesses = enumeration.max_cd_unbranched_benzenoids(args.hexagons)
     payload = {
         "hexagons": args.hexagons,
         "max_deficit": value,
@@ -359,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("analyze", _cmd_analyze, "winding, deficit and convexity class of a code")
-    p.add_argument("code", nargs="?", help="boundary edge code, e.g. 5351")
-    p.add_argument("--stdin", action="store_true", help="read one code per line from stdin")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("code", nargs="?", help="boundary edge code, e.g. 5351")
+    g.add_argument("--stdin", action="store_true", help="read one code per line from stdin")
 
     p = add("canonical", _cmd_canonical, "canonical rotation/reflection form of a code")
     p.add_argument("code")
@@ -373,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells-out", metavar="FILE", help="write one 'q r' pair per line")
 
     p = add("render", _cmd_render, "draw a code or a cell file as SVG or TikZ")
-    p.add_argument("code", nargs="?")
-    p.add_argument("--cells", metavar="FILE", help="read 'q r' lines instead of embedding a code")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("code", nargs="?")
+    g.add_argument("--cells", metavar="FILE", help="read 'q r' lines instead of embedding a code")
     p.add_argument("--format", choices=("svg", "tikz"), default="svg")
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--edge-length", type=float, default=30.0)
@@ -383,13 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill", default="none")
 
     p = add("family", _cmd_family, "generate a parametric benzenoid family member")
-    p.add_argument("family", nargs="?", help="family id, see --list")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("family", nargs="?", help="family id, see --list")
     p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--list", action="store_true", help="list known families")
+    g.add_argument("--list", action="store_true", help="list known families")
 
     p = add("lookup", _cmd_lookup, "look up a named small benzenoid")
-    p.add_argument("query", nargs="?", help="compound name or boundary edge code")
-    p.add_argument("--all", action="store_true", help="print the whole dataset")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("query", nargs="?", help="compound name or boundary edge code")
+    g.add_argument("--all", action="store_true", help="print the whole dataset")
 
     p = add("enumerate", _cmd_enumerate, "enumerate all benzenoids up to a hexagon count")
     p.add_argument("--hexagons", type=int, required=True, metavar="H")
@@ -404,9 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # run() exits 141
+    except (BechexError, OSError) as exc:
+        status = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        kind = f"{type(exc).__name__}: " if status == _EXIT_NOT_EMBEDDABLE else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return status
 
 
 def run() -> None:

@@ -22,7 +22,9 @@ from pathlib import Path
 
 from . import _kernel as kernel
 from .codes import Code, canonical, convexity_deficit
-from .errors import BechexError, NotClosed, ResourceLimit, ResumeError, SelfIntersecting
+from .errors import (
+    BechexError, NotClosed, ParamOutOfRange, ResourceLimit, ResumeError, SelfIntersecting
+)
 from .lattice import condensation_class, embed
 
 __all__ = [
@@ -37,9 +39,8 @@ __all__ = [
     "run_search",
 ]
 
-#: Levels above this size are refused (``max_h`` raises the cap of the
-#: library functions); a plain desk machine handles h = 12 in minutes,
-#: every extra level costs roughly a factor of five.
+#: Levels above this size are refused; a plain desk machine handles
+#: h = 12 in minutes, every extra level costs roughly a factor of five.
 DEFAULT_MAX_H = 14
 
 SCHEMA_VERSION = 1
@@ -151,25 +152,24 @@ def _load_level(out_dir: Path, h: int) -> tuple[list[bytes], list[str]]:
 def _levels(
     h_max: int,
     workers: int = 1,
-    max_h: int | None = DEFAULT_MAX_H,
     out_dir: Path | None = None,
     resume: bool = False,
 ):
     """Yield (h, canonical keys, codes) for every level from 1 to h_max.
 
     Every enumeration runs through this loop.  It refuses h_max above
-    ``max_h`` and more workers than CPU cores before any level is built.
+    DEFAULT_MAX_H and more workers than CPU cores before any level is built.
     A grown level has sorted keys and codes None.  With ``resume``, the
     levels stored in ``out_dir`` are read back and only the levels above
     them are grown; a stored level comes with its checked codes, each
     beside its key, in code order.
     """
     if h_max < 1:
-        raise ValueError("h must be >= 1")
-    if max_h is not None and h_max > max_h:
-        raise ResourceLimit(f"enumeration to h={h_max} exceeds the cap of {max_h}")
+        raise ParamOutOfRange("h must be >= 1")
+    if h_max > DEFAULT_MAX_H:
+        raise ResourceLimit(f"enumeration to h={h_max} exceeds the cap of {DEFAULT_MAX_H}")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ParamOutOfRange("workers must be >= 1")
     cores = os.cpu_count() or 1
     if workers > cores:
         raise ResourceLimit(f"{workers} workers exceed the {cores} CPU cores of this machine")
@@ -188,23 +188,21 @@ def _levels(
         yield h, keys, codes
 
 
-def _last_level(h: int, workers: int, max_h: int | None) -> list[bytes]:
-    for _, keys, _ in _levels(h, workers, max_h):
+def _last_level(h: int, workers: int) -> list[bytes]:
+    for _, keys, _ in _levels(h, workers):
         pass
     return keys
 
 
-def enumerate_benzenoids(
-    h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H
-):
+def enumerate_benzenoids(h: int, *, workers: int = 1):
     """Yield every benzenoid with h hexagons exactly once, as its
     canonical normalised cell tuple, in deterministic (sorted) order."""
-    for key in _last_level(h, workers, max_h):
+    for key in _last_level(h, workers):
         yield kernel.unpack_cells(key)
 
 
-def count_benzenoids(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> int:
-    return len(_last_level(h, workers, max_h))
+def count_benzenoids(h: int, *, workers: int = 1) -> int:
+    return len(_last_level(h, workers))
 
 
 def _write_codes(path: Path, codes) -> None:
@@ -254,11 +252,11 @@ def _level_report(
     return rep
 
 
-def report(h: int, *, workers: int = 1, max_h: int | None = DEFAULT_MAX_H) -> EnumerationReport:
+def report(h: int, *, workers: int = 1) -> EnumerationReport:
     """Enumerate level h and fold code and deficit over every benzenoid."""
     if h < 2:
-        raise ValueError("reports are defined for h >= 2")
-    return _level_report(h, _last_level(h, workers, max_h))
+        raise ParamOutOfRange("reports are defined for h >= 2")
+    return _level_report(h, _last_level(h, workers))
 
 
 def run_search(
@@ -293,7 +291,7 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
     embedded but still count as fusenes.
     """
     if h < 2:
-        raise ValueError("unbranched fusenes need h >= 2")
+        raise ParamOutOfRange("unbranched fusenes need h >= 2")
     if h > DEFAULT_MAX_H:
         raise ResourceLimit(
             f"unbranched fusenes to h={h} exceed the cap of {DEFAULT_MAX_H}: "

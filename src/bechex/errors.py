@@ -45,8 +45,8 @@ class NotFound(BechexError):
     """Lookup key that matches no record."""
 
 
-class ParamOutOfRange(BechexError):
-    """Family parameters outside their admissible range."""
+class ParamOutOfRange(BechexError, ValueError):
+    """Parameters or options outside their admissible range."""
 
 
 class ResourceLimit(BechexError):

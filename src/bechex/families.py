@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
+from ._kernel.common import MAX_CELLS
 from .codes import Code, ConvexityKind, canonical, parse_code
 from .errors import InvalidSymbols, NotFound, ParamOutOfRange
 
@@ -234,8 +235,13 @@ def _family(family: str, params: tuple[int, ...]) -> _Family:
 
 def generate(family: str, *params: int) -> Code:
     """The boundary-edges code of a family member (not canonicalised):
-    the family id followed by its parameters, ``generate("M2", 2, 3)``."""
-    return Code(_family(family, params).code_fn(*params))
+    the family id followed by its parameters, ``generate("M2", 2, 3)``.
+    Members of more than MAX_CELLS hexagons are refused."""
+    fam = _family(family, params)
+    h = fam.h_fn(*params)
+    if h > MAX_CELLS:
+        raise ParamOutOfRange(f"{fam.id}: {h} hexagons exceed the limit of {MAX_CELLS}")
+    return Code(fam.code_fn(*params))
 
 
 def expected_h(family: str, *params: int) -> int:

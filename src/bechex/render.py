@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParamOutOfRange
+
 __all__ = ["RenderOptions", "to_svg", "to_tikz"]
 
 _SQRT3 = math.sqrt(3.0)
@@ -35,8 +37,8 @@ class RenderOptions:
     fill: str = "none"
 
     def __post_init__(self) -> None:
-        if self.edge_length <= 0:
-            raise ValueError("edge_length must be positive")
+        if not 0 < self.edge_length < math.inf:
+            raise ParamOutOfRange("edge_length must be positive and finite")
 
 
 def _fmt(value: float) -> str:

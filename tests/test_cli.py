@@ -190,6 +190,17 @@ class TestFamilyAndLookup:
         assert run_cli("family", "L", "1")[0] == 3
         assert run_cli("family", "L")[0] == 3
 
+    def test_family_member_above_the_cell_limit_exits_3_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bechex.cli", "family", "L", "1000000"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "exceed the limit of 250" in proc.stderr
+
     def test_lookup_by_name(self):
         code, out, _ = run_cli("lookup", "coronene")
         assert code == 0
@@ -294,6 +305,30 @@ class TestUnbranchedMax:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "cap of 14" in err
+
+
+EXIT_CODES = [
+    (["render"], 3),
+    (["render", "--cells", "{tmp}/ab.txt"], 3),
+    (["render", "--cells", "{tmp}/missing.txt"], 3),
+    (["render", "--cells", "{tmp}/binary.txt"], 3),
+    (["embed", "55", "--cells-out", "{tmp}/missing/x"], 3),
+    (["render", "55", "--edge-length", "-5"], 3),
+    (["render", "55", "--edge-length", "nan"], 3),
+    (["render", "55", "--edge-length", "inf"], 3),
+    (["analyze", "55", "--stdin"], 3),
+]
+
+
+@pytest.mark.parametrize("argv,status", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_codes(tmp_path, argv, status):
+    (tmp_path / "ab.txt").write_text("a b\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe0 0\n")
+    code, out, err = run_cli(*(arg.format(tmp=tmp_path) for arg in argv), stdin="55\n")
+    assert code == status
+    assert out == ""
+    assert "error: " in err
+    assert "Traceback" not in err
 
 
 class TestConsoleScript:

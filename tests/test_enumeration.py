@@ -81,8 +81,6 @@ class TestCounts:
     def test_resource_limit(self, no_growth, tmp_path):
         with pytest.raises(ResourceLimit):
             count_benzenoids(15)
-        with pytest.raises(ResourceLimit):
-            count_benzenoids(3, max_h=2)
         with pytest.raises(ResourceLimit, match="cap of 14"):
             run_search(15, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from bechex._kernel.common import MAX_CELLS
 from bechex.codes import canonical, classify, convexity_deficit, equivalent, parse_code, winding
 from bechex.errors import NotFound, ParamOutOfRange, SelfIntersecting
 from bechex.families import (
@@ -84,6 +85,12 @@ class TestTemplates:
             generate("M2", 2)
         with pytest.raises(ParamOutOfRange):
             generate("M2", 2, 2, 2)
+
+    def test_members_above_the_cell_limit_are_refused(self):
+        assert expected_h("L", 250) == MAX_CELLS
+        assert embed(generate("L", 250)).hexagons == MAX_CELLS
+        with pytest.raises(ParamOutOfRange, match="251 hexagons exceed the limit of 250"):
+            generate("L", 251)
 
 
 class TestSpiral:

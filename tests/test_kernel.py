@@ -215,6 +215,13 @@ def test_code_deficit_refuses_strings_that_are_not_codes(backend, text):
         backend.code_deficit(text)
 
 
+@pytest.mark.parametrize("entry", ["code_deficit", "code_key"])
+@pytest.mark.parametrize("value", [55, None, b"55"], ids=["int", "None", "bytes"])
+def test_a_code_that_is_not_a_str_is_a_type_error(backend, entry, value):
+    with pytest.raises(TypeError, match=f"a code must be str, not {type(value).__name__}$"):
+        getattr(backend, entry)(value)
+
+
 def _random_benzenoid(rng: random.Random, n: int) -> tuple:
     """n cells grown from one, each new cell a free neighbour whose occupied
     neighbours form one arc, so the shape stays free of holes."""
