@@ -1,8 +1,12 @@
 """Hot kernels for the enumeration engine.
 
-Four entries make the kernel contract: ``grow`` (the canonical keys of
-the hole-free one-cell extensions of hole-free shapes, by the one-arc
-rule), ``trace_code``, ``code_deficit`` and ``code_key``.  The compiled
+Four entries make the kernel contract: ``grow``, ``trace_code``,
+``code_deficit`` and ``code_key``.  ``grow(parents)`` returns a list of
+the canonical keys of the hole-free one-cell extensions of hole-free
+shapes whose canonical parent is among ``parents``, each once: a free
+neighbour joins when its occupied neighbours form one arc, and the child
+is kept only from its canonical parent, so the lists of distinct parents
+are disjoint and, over one whole level, make exactly the next.  The compiled
 backend (bechex._kernel._fast, built from the hand-written _fast.c) is
 used when importable; otherwise the pure-Python backend takes over with
 identical semantics.  Set BECHEX_PURE=1 to force the pure backend.

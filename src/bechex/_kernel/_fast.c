@@ -1,5 +1,6 @@
-/* Compiled kernel backend: one-cell growth that keeps only hole-free
- * children, boundary tracing, the convexity deficit and code filling.
+/* Compiled kernel backend: one-cell growth that keeps each hole-free
+ * child once, from its canonical parent, boundary tracing, the
+ * convexity deficit and code filling.
  *
  * Mirrors bechex._kernel.pure, the reference that every entry point here
  * must agree with; bechex._kernel picks a backend at import.  Shapes
@@ -42,12 +43,16 @@ static const int MAT[12][4] = {
 };
 
 /* Write the canonical packed form of n cells into out (2n bytes): the
- * least sorted normalised cell list over the 12 symmetries.  Returns -1
- * with ValueError set when that form does not fit the key's bytes. */
+ * least sorted normalised cell list over the 12 symmetries.  When
+ * attaining is not NULL, set bit t of *attaining for each row t of MAT
+ * that reaches that form.  A sorted list starts with its least cell, so
+ * only the transforms whose least cell ties the least of all are sorted.
+ * Returns -1 with ValueError set when the form does not fit the key's
+ * bytes. */
 static int
-canon(const int *q, const int *r, int n, unsigned char *out)
+canon(const int *q, const int *r, int n, unsigned char *out, int *attaining)
 {
-    int tq[CAP_CELLS], tr[CAP_CELLS], enc[CAP_CELLS], best[CAP_CELLS];
+    int enc[12][CAP_CELLS], tq[CAP_CELLS], tr[CAP_CELLS], low[12], least = INT_MAX;
     for (int t = 0; t < 12; t++) {
         const int a0 = MAT[t][0], a1 = MAT[t][1], a2 = MAT[t][2], a3 = MAT[t][3];
         int minq = INT_MAX, minr = INT_MAX;
@@ -59,30 +64,42 @@ canon(const int *q, const int *r, int n, unsigned char *out)
             if (tr[i] < minr)
                 minr = tr[i];
         }
-        for (int i = 0; i < n; i++)
-            enc[i] = ((tq[i] - minq) << 16) | (tr[i] - minr);
+        low[t] = INT_MAX;
+        for (int i = 0; i < n; i++) {
+            enc[t][i] = ((tq[i] - minq) << 16) | (tr[i] - minr);
+            if (enc[t][i] < low[t])
+                low[t] = enc[t][i];
+        }
+        if (low[t] < least)
+            least = low[t];
+    }
+    int best = -1, mask = 0;
+    for (int t = 0; t < 12; t++) {
+        if (low[t] != least)
+            continue;
+        int *e = enc[t];
         for (int i = 1; i < n; i++) {
-            int key = enc[i], j = i - 1;
-            while (j >= 0 && enc[j] > key) {
-                enc[j + 1] = enc[j];
+            int key = e[i], j = i - 1;
+            while (j >= 0 && e[j] > key) {
+                e[j + 1] = e[j];
                 j--;
             }
-            enc[j + 1] = key;
+            e[j + 1] = key;
         }
-        if (t == 0) {
-            memcpy(best, enc, n * sizeof(int));
-            continue;
+        int cmp = best < 0 ? -1 : 0;
+        for (int i = 0; cmp == 0 && i < n; i++) {
+            if (e[i] != enc[best][i])
+                cmp = e[i] < enc[best][i] ? -1 : 1;
         }
-        for (int i = 0; i < n; i++) {
-            if (enc[i] != best[i]) {
-                if (enc[i] < best[i])
-                    memcpy(best, enc, n * sizeof(int));
-                break;
-            }
+        if (cmp < 0) {
+            best = t;
+            mask = 1 << t;
         }
+        else if (cmp == 0)
+            mask |= 1 << t;
     }
     for (int i = 0; i < n; i++) {
-        int cq = best[i] >> 16, cr = best[i] & 0xFFFF;
+        int cq = enc[best][i] >> 16, cr = enc[best][i] & 0xFFFF;
         if (cq > 255 || cr > 255) {
             PyErr_SetString(PyExc_ValueError, "cell coordinates exceed the packed-key range");
             return -1;
@@ -90,6 +107,8 @@ canon(const int *q, const int *r, int n, unsigned char *out)
         out[2 * i] = (unsigned char)cq;
         out[2 * i + 1] = (unsigned char)cr;
     }
+    if (attaining != NULL)
+        *attaining = mask;
     return 0;
 }
 
@@ -97,7 +116,7 @@ static PyObject *
 key_from_cells(const int *q, const int *r, int n)
 {
     unsigned char buf[2 * CAP_CELLS];
-    if (canon(q, r, n, buf) < 0)
+    if (canon(q, r, n, buf, NULL) < 0)
         return NULL;
     return PyBytes_FromStringAndSize((const char *)buf, 2 * n);
 }
@@ -153,18 +172,94 @@ occupied(const unsigned char *occ, int width, int height, int q, int r)
            && occ[(q + 1) * height + r + 1] == 1;
 }
 
-/* Add to out the canonical key of every one-cell extension of key that
- * stays hole-free: for a hole-free parent, that is a free neighbour whose
- * occupied neighbours form one arc, so exactly one of them is followed
- * counter-clockwise by a free one. */
+/* True when the occupied neighbours in ring form one arc of 1 to 5
+ * cells, so exactly one of them is followed counter-clockwise by a free
+ * one: the cell can join or leave a benzenoid and keep it one. */
+static int
+one_arc(int ring)
+{
+    int ends = ring & ~(ring >> 1 | ring << 5) & 63;
+    return ends != 0 && (ends & (ends - 1)) == 0;
+}
+
+/* The canonical-parent test for the child of n cells whose last cell c,
+ * with occupied-neighbour mask ring_c, was just added (occ marks all n).
+ * T is the set of removable cells of the least rank, (degree, sum of the
+ * occupied neighbours' degrees).  Returns 1 and writes the child's key
+ * into out when c is in T and some transform reaching the key maps c
+ * onto the greatest (q, r) of T's image; 0 when not; -1 with an
+ * exception set. */
+static int
+canonical_child(const int *q, const int *r, int n, int ring_c, const unsigned char *occ,
+                int height, unsigned char *out)
+{
+    unsigned char degree[CAP_GRID];
+    int slot[CAP_CELLS], ring[CAP_CELLS], rank[CAP_CELLS], step[6];
+    for (int k = 0; k < 6; k++)
+        step[k] = NQ[k] * height + NR[k];
+    /* the neighbours of the parent's cells, unlike c's, are on the grid */
+    for (int i = 0; i < n - 1; i++) {
+        slot[i] = (q[i] + 1) * height + r[i] + 1;
+        ring[i] = 0;
+        for (int k = 0; k < 6; k++)
+            ring[i] |= (occ[slot[i] + step[k]] == 1) << k;
+    }
+    slot[n - 1] = (q[n - 1] + 1) * height + r[n - 1] + 1;
+    ring[n - 1] = ring_c;
+    for (int i = 0; i < n; i++) {
+        degree[slot[i]] = 0;
+        for (int k = 0; k < 6; k++)
+            degree[slot[i]] += ring[i] >> k & 1;
+    }
+    /* c is removable, so it has a rank, which no other may undercut */
+    int least = INT_MAX;
+    for (int i = n - 1; i >= 0; i--) {
+        rank[i] = INT_MAX;
+        if (!one_arc(ring[i]))
+            continue;
+        rank[i] = degree[slot[i]] * 64;
+        for (int k = 0; k < 6; k++) {
+            if (ring[i] >> k & 1)
+                rank[i] += degree[slot[i] + step[k]];
+        }
+        if (rank[i] < least) {
+            if (i < n - 1)
+                return 0;
+            least = rank[i];
+        }
+    }
+    int attaining;
+    if (canon(q, r, n, out, &attaining) < 0)
+        return -1;
+    for (int t = 0; t < 12; t++) {
+        if (!(attaining >> t & 1))
+            continue;
+        const int a0 = MAT[t][0], a1 = MAT[t][1], a2 = MAT[t][2], a3 = MAT[t][3];
+        int cq = a0 * q[n - 1] + a1 * r[n - 1], cr = a2 * q[n - 1] + a3 * r[n - 1], top = 1;
+        for (int i = 0; i < n - 1 && top; i++) {
+            int tq = a0 * q[i] + a1 * r[i], tr = a2 * q[i] + a3 * r[i];
+            top = rank[i] != least || tq < cq || (tq == cq && tr <= cr);
+        }
+        if (top)
+            return 1;
+    }
+    return 0;
+}
+
+/* Append to out the canonical key of every hole-free one-cell extension
+ * of key whose canonical parent is key, once each: a free neighbour whose
+ * occupied neighbours form one arc, kept by canonical_child.  Distinct
+ * parents never share a child, so only this parent's keys, from index
+ * first on, are checked for repeats. */
 static int
 grow_one(PyObject *key, PyObject *out)
 {
     int q[CAP_CELLS], r[CAP_CELLS], width, height;
-    unsigned char occ[CAP_GRID];
+    unsigned char occ[CAP_GRID], buf[2 * CAP_CELLS];
     int n = decode(key, q, r, &width, &height);
     if (n < 0)
         return -1;
+    Py_ssize_t first = PyList_GET_SIZE(out);
     memset(occ, 0, width * height);
     for (int i = 0; i < n; i++)
         occ[(q[i] + 1) * height + r[i] + 1] = 1;
@@ -175,19 +270,26 @@ grow_one(PyObject *key, PyObject *out)
             if (occ[slot])
                 continue;
             occ[slot] = 2; /* tried */
-            int ring = 0;
+            int ring = 0; /* bit j: neighbour j occupied */
             for (int j = 0; j < 6; j++)
                 ring |= occupied(occ, width, height, nq + NQ[j], nr + NR[j]) << j;
-            /* bit j: neighbour j occupied and neighbour j + 1 free */
-            int ends = ring & ~(ring >> 1 | ring << 5) & 63;
-            if (ends == 0 || ends & (ends - 1))
+            if (!one_arc(ring))
                 continue;
             q[n] = nq;
             r[n] = nr;
-            PyObject *child = key_from_cells(q, r, n + 1);
+            occ[slot] = 1;
+            int rc = canonical_child(q, r, n + 1, ring, occ, height, buf);
+            occ[slot] = 2;
+            if (rc < 0)
+                return -1;
+            for (Py_ssize_t j = first; rc && j < PyList_GET_SIZE(out); j++)
+                rc = memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(out, j)), buf, 2 * (n + 1)) != 0;
+            if (!rc)
+                continue;
+            PyObject *child = PyBytes_FromStringAndSize((const char *)buf, 2 * (n + 1));
             if (child == NULL)
                 return -1;
-            int rc = PySet_Add(out, child);
+            rc = PyList_Append(out, child);
             Py_DECREF(child);
             if (rc < 0)
                 return -1;
@@ -199,7 +301,7 @@ grow_one(PyObject *key, PyObject *out)
 static PyObject *
 grow(PyObject *Py_UNUSED(module), PyObject *parents)
 {
-    PyObject *out = PySet_New(NULL), *it = NULL, *key;
+    PyObject *out = PyList_New(0), *it = NULL, *key;
     if (out == NULL)
         return NULL;
     it = PyObject_GetIter(parents);
@@ -506,9 +608,10 @@ code_key(PyObject *Py_UNUSED(module), PyObject *code)
 static PyMethodDef methods[] = {
     {"grow", grow, METH_O,
      "grow($module, parents, /)\n--\n\n"
-     "Canonical keys of the hole-free one-cell extensions of the given\n"
-     "hole-free shapes: a free neighbour is added when its occupied\n"
-     "neighbours form one arc."},
+     "List of the canonical keys of the hole-free one-cell extensions of\n"
+     "the given hole-free shapes whose canonical parent is one of them,\n"
+     "each once: a free neighbour is added when its occupied neighbours\n"
+     "form one arc, and the child is kept only from its canonical parent."},
     {"trace_code", trace_code, METH_O,
      "trace_code($module, key, /)\n--\n\n"
      "Canonical boundary code of a connected hole-free packed shape."},

@@ -4,7 +4,8 @@ Thin adapters over the reference implementations in bechex.codes and
 bechex.lattice, working on byte-packed cell keys.  Used when the compiled
 extension is unavailable or BECHEX_PURE is set; semantics match
 bechex._kernel._fast exactly, only speed differs.  ``grow`` keeps only
-hole-free children, by the one-arc rule, so no separate hole filter runs.
+hole-free children, by the one-arc rule, so no separate hole filter runs,
+and keeps each of them only from its canonical parent.
 """
 
 from __future__ import annotations
@@ -19,26 +20,94 @@ __all__ = ["BACKEND", "code_deficit", "code_key", "grow", "trace_code"]
 BACKEND = "python"
 
 
-def grow(parents) -> set:
+#: (dq, dr, bit) of the six neighbours, bit k of a ring mask for neighbour k.
+_NEIGHBOURS = tuple((dq, dr, 1 << k) for k, (dq, dr) in enumerate(lattice.NEIGHBOR_OFFSETS))
+#: Whether the occupied neighbours in a ring mask form one arc of 1 to 5
+#: cells, so exactly one of them is followed counter-clockwise by a free
+#: one: the cell can join or leave a benzenoid and keep it one.
+_ONE_ARC = tuple(bin(m & ~(m >> 1 | m << 5) & 63).count("1") == 1 for m in range(64))
+#: The neighbour offsets a ring mask marks occupied.
+_OCCUPIED = tuple(tuple((dq, dr) for dq, dr, bit in _NEIGHBOURS if m & bit) for m in range(64))
+
+
+def _ring(q: int, r: int, occupied) -> int:
+    ring = 0
+    for dq, dr, bit in _NEIGHBOURS:
+        if (q + dq, r + dr) in occupied:
+            ring |= bit
+    return ring
+
+
+def grow(parents) -> list:
     """Canonical keys of the hole-free one-cell extensions of hole-free
-    shapes: a free neighbour joins when its occupied neighbours form one
-    arc, so exactly one of them is followed counter-clockwise by a free one."""
-    out = set()
+    shapes whose canonical parent is one of the shapes, each key once.
+
+    A free neighbour c joins a parent P when its occupied neighbours form
+    one arc.  The child K = P + c is kept when P is K's canonical parent
+    (see _canonical_child), so no two parents share a child and repeats
+    are dropped among one parent's children only.
+    """
+    out = []
     for key in parents:
         check_key(key)
         cells = unpack_cells(key)
-        cell_set = set(cells)
+        occupied = set(cells)
+        rings = {cell: _ring(*cell, occupied) for cell in occupied}
         tried = set()
+        kept = set()
         for q, r in cells:
-            for dq, dr in lattice.NEIGHBOR_OFFSETS:
-                nb = (q + dq, r + dr)
-                if nb in cell_set or nb in tried:
+            for dq, dr, _ in _NEIGHBOURS:
+                cell = (q + dq, r + dr)
+                if cell in rings or cell in tried:
                     continue
-                tried.add(nb)
-                ring = [(nb[0] + a, nb[1] + b) in cell_set for a, b in lattice.NEIGHBOR_OFFSETS]
-                if sum(ring[j - 1] and not ring[j] for j in range(6)) == 1:
-                    out.add(pack_cells(lattice.canonical_cells(cells + (nb,))))
+                tried.add(cell)
+                ring = _ring(*cell, rings)
+                if _ONE_ARC[ring]:
+                    child = _canonical_child(cells + (cell,), rings, ring)
+                    if child is not None and child not in kept:
+                        kept.add(child)
+                        out.append(child)
     return out
+
+
+def _canonical_child(cells, parent_rings: dict, ring: int) -> bytes | None:
+    """The key of cells when the parent, cells but the last one c (whose
+    occupied neighbours are ring), is their canonical parent; else None.
+
+    T is the set of removable cells of the least rank, (degree, sum of
+    the occupied neighbours' degrees).  The parent is canonical when c is
+    in T and some symmetry reaching the canonical form maps c onto the
+    greatest (q, r) of T's image.
+    """
+    c = cells[-1]
+    rings = dict(parent_rings)
+    for k, (dq, dr, bit) in enumerate(_NEIGHBOURS):
+        if ring & bit:
+            rings[c[0] + dq, c[1] + dr] |= 1 << (k + 3) % 6
+    rings[c] = ring
+    degree = {cell: mask.bit_count() for cell, mask in rings.items()}
+
+    def rank(cell, mask):
+        q, r = cell
+        return degree[cell], sum(degree[q + dq, r + dr] for dq, dr in _OCCUPIED[mask])
+
+    least = rank(c, ring)
+    top = [c]
+    for cell, mask in rings.items():
+        if _ONE_ARC[mask] and degree[cell] <= least[0] and cell != c:
+            cell_rank = rank(cell, mask)
+            if cell_rank < least:
+                return None
+            if cell_rank == least:
+                top.append(cell)
+    # each image lists the child's cells, then T's, c first
+    n = len(cells)
+    images = list(lattice._symmetric_images(cells + tuple(top)))
+    forms = [lattice.normalize_cells(pts[:n]) for pts in images]
+    best = min(forms)
+    if any(form == best and pts[n] == max(pts[n:]) for pts, form in zip(images, forms)):
+        return pack_cells(best)
+    return None
 
 
 def trace_code(key: bytes) -> str:

@@ -27,7 +27,7 @@ from .errors import (
     ParamOutOfRange,
     SelfIntersecting,
 )
-from .lattice import embed
+from .lattice import embed, trace
 from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
@@ -168,7 +168,9 @@ def _cmd_embed(args) -> int:
 
 
 def _read_cells(path: str):
-    cells = []
+    """The cells of a cell file, in file order; a cell set that is not a
+    benzenoid raises Disconnected or Holed."""
+    cells = {}
     # An undecodable byte becomes U+FFFD and so makes its line a bad cell line.
     with open(path, encoding="utf-8", errors="replace") as fh:
         for raw in fh:
@@ -179,10 +181,14 @@ def _read_cells(path: str):
                 q, r = map(int, line.split())
             except ValueError:
                 raise ParamOutOfRange(f"bad cell line {raw!r}") from None
-            cells.append((q, r))
+            if (q, r) in cells:
+                raise ParamOutOfRange(f"cell line {raw!r} repeats a cell")
+            cells[q, r] = None
     if not cells:
         raise ParamOutOfRange("empty cell file")
-    return tuple(cells)
+    cells = tuple(cells)
+    trace(cells)
+    return cells
 
 
 def _cmd_render(args) -> int:

@@ -1,13 +1,17 @@
 """Isomorph-free enumeration of benzenoids and extremal-deficit reports.
 
-Benzenoids are generated level by level: every shape with h hexagons is
-obtained by attaching one free neighbour cell to a shape with h - 1,
-deduplicated by the canonical cell key (12 lattice symmetries plus
-translation).  The kernel's grow adds a cell only when its occupied
-neighbours form one arc, which is exactly when a hole-free shape stays
-hole-free, so no separate hole filter runs.  Two shapes count as the
-same benzenoid exactly when they agree up to rotation, reflection and
-translation.  The hot loops run in bechex._kernel.
+Benzenoids are generated level by level by canonical augmentation: every
+shape with h hexagons is obtained by attaching one free neighbour cell to
+its canonical parent with h - 1, and to no other shape of that level
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The kernel's grow adds a cell only when its occupied neighbours form one
+arc, which is exactly when a hole-free shape stays hole-free, so no
+separate hole filter runs, and it keeps a child only from its canonical
+parent, so a level is the sorted concatenation of its parents' children
+with no set to deduplicate it.  Two shapes count as the same benzenoid
+exactly when they agree up to rotation, reflection and translation; a
+shape is stored as its canonical cell key.  The hot loops run in
+bechex._kernel.
 """
 
 from __future__ import annotations
@@ -82,25 +86,25 @@ class EnumerationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _grow_chunk(chunk: list[bytes]) -> set[bytes]:
+def _grow_chunk(chunk: list[bytes]) -> list[bytes]:
     return kernel.grow(chunk)
 
 
-def _grow(parents: list[bytes], workers: int) -> set[bytes]:
-    """Canonical keys of the hole-free children of one level.
+def _grow(parents: list[bytes], workers: int) -> list[bytes]:
+    """Sorted canonical keys of the hole-free children of one level.
 
-    The result is a set union over worker partitions, so it cannot depend
-    on the worker count or on scheduling.
+    Each child comes from its one canonical parent, so the worker parts
+    are disjoint and their concatenation, sorted once, cannot depend on
+    the worker count or on scheduling.
     """
     if workers > 1 and len(parents) >= _PARALLEL_THRESHOLD:
         chunks = [parents[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_grow_chunk, chunks)
-        out: set[bytes] = set()
-        for part in parts:
-            out |= part
-        return out
-    return kernel.grow(parents)
+            children = list(itertools.chain.from_iterable(pool.map(_grow_chunk, chunks)))
+    else:
+        children = kernel.grow(parents)
+    children.sort()
+    return children
 
 
 def _level_path(out_dir: Path, h: int) -> Path:
@@ -184,7 +188,7 @@ def _levels(
         elif h == 1:
             keys = [kernel.pack_cells(((0, 0),))]
         else:
-            keys = sorted(_grow(keys, workers))
+            keys = _grow(keys, workers)
         yield h, keys, codes
 
 

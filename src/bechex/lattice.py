@@ -330,15 +330,17 @@ def mirror_cells(cells) -> tuple[Cell, ...]:
     return normalize_cells((q, -q - r) for q, r in cells)
 
 
-def canonical_cells(cells) -> tuple[Cell, ...]:
-    """Least normalised form over the 12 point symmetries of the lattice
-    (6 rotations, each optionally mirrored); the key for isomorph tests."""
-    best = None
-    for reflected in (False, True):
-        pts = [(q, -q - r) for q, r in cells] if reflected else list(cells)
+def _symmetric_images(cells):
+    """Yield the cells under each of the 12 point symmetries of the
+    lattice (6 rotations, each optionally mirrored), as lists in the
+    order given."""
+    for pts in (list(cells), [(q, -q - r) for q, r in cells]):
         for _ in range(6):
             pts = [(-r, q + r) for q, r in pts]
-            cand = normalize_cells(pts)
-            if best is None or cand < best:
-                best = cand
-    return best
+            yield pts
+
+
+def canonical_cells(cells) -> tuple[Cell, ...]:
+    """Least normalised form over the 12 point symmetries of the lattice;
+    the key for isomorph tests."""
+    return min(map(normalize_cells, _symmetric_images(cells)))

@@ -166,6 +166,22 @@ class TestRender:
         cells.write_text("0 0 7\n")
         assert run_cli("render", "--cells", str(cells))[0] == 3
 
+    @pytest.mark.parametrize(
+        "text,status,error",
+        [
+            ("0 0\n0 0\n", 3, "error: cell line '0 0\\n' repeats a cell"),
+            ("0 0\n5 5\n", 2, "error: Disconnected: "),
+            ("1 0\n0 1\n-1 1\n-1 0\n0 -1\n1 -1\n", 2, "error: Holed: "),
+        ],
+        ids=["repeated", "apart", "ring"],
+    )
+    def test_a_cell_file_that_is_no_benzenoid_is_refused(self, tmp_path, text, status, error):
+        cells = tmp_path / "cells.txt"
+        cells.write_text(text)
+        code, out, err = run_cli("render", "--cells", str(cells))
+        assert (code, out) == (status, "")
+        assert err.startswith(error)
+
 
 class TestFamilyAndLookup:
     def test_family_generation(self):

@@ -142,8 +142,10 @@ class TestReports:
 class TestGrowth:
     def test_worker_count_does_not_change_results(self, enumeration_session, monkeypatch):
         monkeypatch.setattr(enumeration, "_PARALLEL_THRESHOLD", 2)  # start the pool
-        level6 = enumeration_session.keys[6]
-        assert _grow(level6, workers=2) == _grow(level6, workers=1)
+        level8 = enumeration_session.keys[8]
+        grown = _grow(level8, workers=1)
+        assert _grow(level8, workers=2) == grown
+        assert len(grown) == len(set(grown)) == EXPECTED_COUNTS[9]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two cores")
     def test_two_workers_write_the_same_files(self, tmp_path, monkeypatch):
@@ -157,8 +159,7 @@ class TestGrowth:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_every_parent_extends(self, enumeration_session):
-        grown = _grow(enumeration_session.keys[3], workers=1)
-        assert sorted(grown) == enumeration_session.keys[4]
+        assert _grow(enumeration_session.keys[3], workers=1) == enumeration_session.keys[4]
 
 
 class TestPersistence:

@@ -8,9 +8,14 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 import subprocess
 import sys
-from importlib import import_module
+import sysconfig
+from functools import cache
+from importlib.util import module_from_spec, spec_from_file_location
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -75,23 +80,90 @@ class TestBackendChoice:
         assert "blocked for the test" in stderr
 
 
-@pytest.fixture(scope="module")
-def fast():
-    try:
-        return import_module("bechex._kernel._fast")
-    except ImportError as exc:
-        pytest.skip(f"compiled kernel not built ({exc}); nothing to compare")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    """The compiled kernel built from the working tree's _fast.c, by
+    setup.py with its own flags plus -Werror, into a temporary directory:
+    not whichever build sits in src/.  Skips only without a C compiler."""
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or ""
+    if not compiler.split() or shutil.which(compiler.split()[0]) is None:
+        pytest.skip(f"no C compiler ({compiler!r}); nothing to compare")
+    out = tmp_path_factory.mktemp("fast")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=ROOT,
+        env={**os.environ, "CFLAGS": f"{os.environ.get('CFLAGS', '')} -Werror"},
+        capture_output=True,
+        text=True,
+    )
+    built = list(out.glob("bechex/_kernel/_fast*"))
+    assert build.returncode == 0 and built, build.stdout + build.stderr
+    spec = spec_from_file_location("bechex._kernel._fast", built[0])
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _hole_free_children(level):
     """Every one-cell extension of the shapes, canonicalised and kept when
-    it has no hole: the children grow must return, built without it."""
+    it has no hole: the children of a level, found without grow."""
     children = set()
     for key in level:
         cells = unpack_cells(key)
         free = {(q + dq, r + dr) for q, r in cells for dq, dr in NEIGHBOR_OFFSETS} - set(cells)
         children.update(canonical_cells(cells + (cell,)) for cell in free)
     return {pack_cells(child) for child in children if is_simply_connected(child)}
+
+
+def _is_benzenoid(cells: set) -> bool:
+    start = next(iter(cells))
+    seen, stack = {start}, [start]
+    while stack:
+        q, r = stack.pop()
+        for dq, dr in NEIGHBOR_OFFSETS:
+            if (q + dq, r + dr) in cells and (q + dq, r + dr) not in seen:
+                seen.add((q + dq, r + dr))
+                stack.append((q + dq, r + dr))
+    return len(seen) == len(cells) and is_simply_connected(cells)
+
+
+@cache
+def _canonical_children(key):
+    """Sorted keys of the hole-free children of one shape whose canonical
+    parent it is, found without grow and without the one-arc lemma.
+
+    A cell of a child K is removable when K without it is connected and
+    hole-free.  The canonical parent is K, in its canonical form, minus
+    the greatest (q, r) among the removable cells of least (degree, sum
+    of the occupied neighbours' degrees).
+    """
+    cells = unpack_cells(key)
+    parent = canonical_cells(cells)
+    free = {(q + dq, r + dr) for q, r in cells for dq, dr in NEIGHBOR_OFFSETS} - set(cells)
+    children = set()
+    for cell in free:
+        if not is_simply_connected(cells + (cell,)):
+            continue
+        child = canonical_cells(cells + (cell,))
+        occupied = set(child)
+        degree = {
+            (q, r): sum((q + dq, r + dr) in occupied for dq, dr in NEIGHBOR_OFFSETS) for q, r in child
+        }
+        ranks = sorted(
+            (degree[q, r], sum(degree.get((q + dq, r + dr), 0) for dq, dr in NEIGHBOR_OFFSETS), (q, r))
+            for q, r in child
+        )
+        # removability is costly to decide here, so only the least ranks are tried
+        for rank, group in groupby(ranks, key=lambda entry: entry[:2]):
+            removable = [x for *_, x in group if _is_benzenoid(occupied - {x})]
+            if removable:
+                break
+        if canonical_cells(tuple(occupied - {max(removable)})) == parent:
+            children.add(pack_cells(child))
+    return sorted(children)
 
 
 class TestBackendParity:
@@ -105,8 +177,23 @@ class TestBackendParity:
             assert [fast.code_deficit(c) for c in codes] == [pure.code_deficit(c) for c in codes]
             assert [fast.code_key(c) for c in codes] == [pure.code_key(c) for c in codes] == level
             grown = fast.grow(level)
-            assert grown == pure.grow(level) == _hole_free_children(level), f"grow from h={h}"
+            assert sorted(grown) == sorted(pure.grow(level)), f"grow from h={h}"
+            assert len(set(grown)) == len(grown), f"a repeated child from h={h}"
+            assert set(grown) == _hole_free_children(level), f"grow from h={h}"
             level = sorted(grown)
+
+
+PARTITION_DEPTH = 9
+
+
+def test_each_child_comes_from_one_parent(backend):
+    """Growing each parent of a level on its own gives every shape of the
+    next level exactly once: the lists of distinct parents are disjoint."""
+    levels = {h: keys for h, keys, _ in _levels(PARTITION_DEPTH)}
+    for h in range(1, PARTITION_DEPTH):
+        children = [child for parent in levels[h] for child in backend.grow([parent])]
+        assert len(set(children)) == len(children), f"a child grown twice from h={h}"
+        assert sorted(children) == levels[h + 1], f"grow from h={h}"
 
 
 class TestContract:
@@ -131,13 +218,11 @@ FUSENE_DEPTH = 11
 
 @pytest.fixture(scope="module", params=["python", "c"])
 def backend(request):
-    """Each kernel backend in turn; the compiled one only when built."""
+    """Each kernel backend in turn; the compiled one as the fast fixture
+    builds it."""
     if request.param == "python":
         return pure
-    try:
-        return import_module("bechex._kernel._fast")
-    except ImportError as exc:
-        pytest.skip(f"compiled kernel not built ({exc})")
+    return request.getfixturevalue("fast")
 
 
 @pytest.fixture(scope="module")
@@ -263,13 +348,13 @@ class TestLimits:
 
     def test_a_grown_shape_at_the_cell_limit_agrees(self, fast):
         key = pack_cells(_random_benzenoid(random.Random(1), MAX_CELLS))
-        assert fast.grow([key]) == pure.grow([key])
+        assert sorted(fast.grow([key])) == sorted(pure.grow([key]))
 
     def test_random_keys_agree(self, fast):
         rng = random.Random(68)
         for _ in range(3):
             key = bytes(rng.randrange(41) for _ in range(2 * rng.randint(1, MAX_CELLS)))
-            assert fast.grow([key]) == pure.grow([key])
+            assert sorted(fast.grow([key])) == sorted(pure.grow([key]))
 
     def test_keys_above_the_limits_raise(self, backend):
         rng = random.Random(251)
@@ -279,7 +364,7 @@ class TestLimits:
         at_limit = _l_shape(arm)
         key = pack_cells(at_limit)
         assert backend.trace_code(key) == str(trace(at_limit))
-        assert backend.grow([key]) == _hole_free_children([key])
+        assert sorted(backend.grow([key])) == _canonical_children(key)
         too_wide = pack_cells(_l_shape(arm + 1))
         for key in (too_many, too_wide):
             with pytest.raises(ResourceLimit):
