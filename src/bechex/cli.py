@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed code string, 2 code that cannot be
 embedded as a benzenoid, 3 usage errors (bad arguments, unknown names,
-out-of-range options, files that cannot be read or written), 141
+out-of-range options, codes of more than MAX_PERIMETER edges, files that
+cannot be read or written), 141
 (128 + SIGPIPE) when the reader of standard output closed it early.
 ``main`` alone turns an exception into an exit code.
 """
@@ -17,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import enumeration, families
+from ._kernel.common import check_edges
 from .codes import Code, canonical, classify, parse_code, winding
 from .errors import (
     BechexError,
@@ -50,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
+
+
+def _parse(text: str) -> Code:
+    """Parse a code given to a command; one of more than MAX_PERIMETER
+    edges raises ResourceLimit before any work on it."""
+    code = parse_code(text)
+    check_edges(sum(code.symbols))
+    return code
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -103,7 +113,7 @@ def _cmd_analyze(args) -> int:
     results = []
     for text in texts:
         try:
-            results.append(_analyze_one(parse_code(text)))
+            results.append(_analyze_one(_parse(text)))
         except InvalidSymbols as exc:
             results.append({"code": text, "error": type(exc).__name__, "message": str(exc)})
     if args.json:
@@ -124,14 +134,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    code = parse_code(args.code)
+    code = _parse(args.code)
     canon = canonical(code)
     _emit({"code": str(code), "canonical": str(canon)}, args.json, [str(canon)])
     return _EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    code = parse_code(args.code)
+    code = _parse(args.code)
     try:
         shape = embed(code)
     except BechexError as exc:
@@ -149,7 +159,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    code = parse_code(args.code)
+    code = _parse(args.code)
     shape = embed(code)
     cells = [list(c) for c in shape.cells]
     if args.cells_out:
@@ -195,7 +205,7 @@ def _cmd_render(args) -> int:
     if args.cells:
         cells = _read_cells(args.cells)
     else:
-        cells = embed(parse_code(args.code)).cells
+        cells = embed(_parse(args.code)).cells
     options = RenderOptions(
         edge_length=args.edge_length,
         label_cells=args.labels,

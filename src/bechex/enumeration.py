@@ -7,18 +7,18 @@ its canonical parent with h - 1, and to no other shape of that level
 The kernel's grow adds a cell only when its occupied neighbours form one
 arc, which is exactly when a hole-free shape stays hole-free, so no
 separate hole filter runs, and it keeps a child only from its canonical
-parent, so a level is the sorted concatenation of its parents' children
-with no set to deduplicate it.  Two shapes count as the same benzenoid
-exactly when they agree up to rotation, reflection and translation; a
-shape is stored as its canonical cell key.  The hot loops run in
-bechex._kernel.
+parent, so a level is its parents' children concatenated in grow order,
+with no set or sort to deduplicate it.  Two shapes count as the same
+benzenoid exactly when they agree up to rotation, reflection and
+translation; a shape is stored as its canonical cell key.  Each output
+file is written beside its target and moved into place, a level's code
+file last.  The hot loops run in bechex._kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -91,20 +91,19 @@ def _grow_chunk(chunk: list[bytes]) -> list[bytes]:
 
 
 def _grow(parents: list[bytes], workers: int) -> list[bytes]:
-    """Sorted canonical keys of the hole-free children of one level.
+    """Canonical keys of the hole-free children of one level, in grow order.
 
     Each child comes from its one canonical parent, so the worker parts
-    are disjoint and their concatenation, sorted once, cannot depend on
-    the worker count or on scheduling.
+    are disjoint; their concatenation holds the same keys whatever the
+    worker count, in an order that depends on it.
     """
     if workers > 1 and len(parents) >= _PARALLEL_THRESHOLD:
+        import multiprocessing
+
         chunks = [parents[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            children = list(itertools.chain.from_iterable(pool.map(_grow_chunk, chunks)))
-    else:
-        children = kernel.grow(parents)
-    children.sort()
-    return children
+            return list(itertools.chain.from_iterable(pool.map(_grow_chunk, chunks)))
+    return kernel.grow(parents)
 
 
 def _level_path(out_dir: Path, h: int) -> Path:
@@ -163,10 +162,10 @@ def _levels(
 
     Every enumeration runs through this loop.  It refuses h_max above
     DEFAULT_MAX_H and more workers than CPU cores before any level is built.
-    A grown level has sorted keys and codes None.  With ``resume``, the
-    levels stored in ``out_dir`` are read back and only the levels above
-    them are grown; a stored level comes with its checked codes, each
-    beside its key, in code order.
+    A grown level has its keys in grow order and codes None.  With
+    ``resume``, the levels stored in ``out_dir`` are read back and only the
+    levels above them are grown; a stored level comes with its checked
+    codes, each beside its key, in code order.
     """
     if h_max < 1:
         raise ParamOutOfRange("h must be >= 1")
@@ -192,25 +191,29 @@ def _levels(
         yield h, keys, codes
 
 
-def _last_level(h: int, workers: int) -> list[bytes]:
-    for _, keys, _ in _levels(h, workers):
+def _last_level(h: int) -> list[bytes]:
+    for _, keys, _ in _levels(h):
         pass
     return keys
 
 
-def enumerate_benzenoids(h: int, *, workers: int = 1):
+def enumerate_benzenoids(h: int):
     """Yield every benzenoid with h hexagons exactly once, as its
-    canonical normalised cell tuple, in deterministic (sorted) order."""
-    for key in _last_level(h, workers):
+    canonical normalised cell tuple, in sorted order."""
+    for key in sorted(_last_level(h)):
         yield kernel.unpack_cells(key)
 
 
-def count_benzenoids(h: int, *, workers: int = 1) -> int:
-    return len(_last_level(h, workers))
+def count_benzenoids(h: int) -> int:
+    return len(_last_level(h))
 
 
-def _write_codes(path: Path, codes) -> None:
-    path.write_text("".join(code + "\n" for code in codes), "ascii")
+def _write(path: Path, chunks) -> None:
+    """Write the text chunks beside ``path``, then move them into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="ascii") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
 
 
 def _level_report(
@@ -219,48 +222,42 @@ def _level_report(
     """Fold the deficits of level h into a report.
 
     ``codes`` holds the code of each key when it is known already;
-    without it every shape is traced.  With ``out_dir``, also write the
-    level's sorted codes and, from h = 2 on, its report and extremal codes.
+    without it every shape is traced.  With ``out_dir``, also write, from
+    h = 2 on, the level's report and extremal codes and then, sorting
+    ``codes`` in place, its code file.
     """
     if codes is None:
         codes = [kernel.trace_code(key) for key in keys]
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_codes(_level_path(out_dir, h), sorted(codes))
-    distribution: Counter[int] = Counter()
-    best = -1
-    extremal: list[tuple[str, bytes]] = []
-    for code, key in zip(codes, keys):
-        deficit = kernel.code_deficit(code)
-        distribution[deficit] += 1
-        if deficit > best:
-            best = deficit
-            extremal = [(code, key)]
-        elif deficit == best:
-            extremal.append((code, key))
-    breakdown: Counter[str] = Counter(
-        condensation_class(kernel.unpack_cells(key)).value for _, key in extremal
-    )
+    # One byte per shape: a deficit is below the code's length, 4h + 2 at most.
+    deficits = bytes(map(kernel.code_deficit, codes))
+    distribution = Counter(deficits)
+    best = max(distribution)
+    extremal = [(code, key) for code, key, d in zip(codes, keys, deficits) if d == best]
+    breakdown = Counter(condensation_class(kernel.unpack_cells(key)).value for _, key in extremal)
     rep = EnumerationReport(
         h=h,
-        count=sum(distribution.values()),
+        count=len(codes),
         distribution=dict(sorted(distribution.items())),
         mcd=best,
         ex=distribution[best],
         extremal_codes=tuple(sorted(code for code, _ in extremal)),
         extremal_breakdown=dict(sorted(breakdown.items())),
     )
-    if out_dir is not None and h >= 2:
-        (out_dir / f"report_h{h}.json").write_text(rep.to_json(), "ascii")
-        _write_codes(out_dir / f"extremal_h{h}.txt", rep.extremal_codes)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if h >= 2:
+            _write(out_dir / f"report_h{h}.json", [rep.to_json()])
+            _write(out_dir / f"extremal_h{h}.txt", (code + "\n" for code in rep.extremal_codes))
+        codes.sort()
+        _write(_level_path(out_dir, h), (code + "\n" for code in codes))
     return rep
 
 
-def report(h: int, *, workers: int = 1) -> EnumerationReport:
+def report(h: int) -> EnumerationReport:
     """Enumerate level h and fold code and deficit over every benzenoid."""
     if h < 2:
         raise ParamOutOfRange("reports are defined for h >= 2")
-    return _level_report(h, _last_level(h, workers))
+    return _level_report(h, _last_level(h))
 
 
 def run_search(
@@ -274,7 +271,8 @@ def run_search(
     level, its report and its extremal codes to ``out_dir``.
 
     Written files are sorted and the whole output is byte-deterministic:
-    it depends only on h, never on the worker count.  With ``resume``,
+    it depends only on h, never on the worker count.  A level's code file
+    is written last, so it marks a finished level.  With ``resume``,
     levels present as files are reloaded instead of recomputed, so the
     returned reports always cover every level from 2 to ``h_max``.
     """

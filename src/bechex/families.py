@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-from ._kernel.common import MAX_CELLS
+from ._kernel.common import MAX_CELLS, check_edges
 from .codes import Code, ConvexityKind, canonical, parse_code
 from .errors import InvalidSymbols, NotFound, ParamOutOfRange
 
@@ -337,7 +337,9 @@ def compounds() -> tuple[NamedCompound, ...]:
 
 
 def find_by_code(code: Code) -> NamedCompound | None:
-    """The dataset record equivalent to ``code``, when one exists."""
+    """The dataset record equivalent to ``code``, when one exists; a code
+    of more than MAX_PERIMETER edges raises ResourceLimit."""
+    check_edges(sum(code.symbols))
     return _BY_CODE.get(str(canonical(code)))
 
 

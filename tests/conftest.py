@@ -11,11 +11,24 @@ import time
 
 import pytest
 
-from bechex import enumeration
+from bechex import _kernel, enumeration
 from bechex.enumeration import _level_report, _levels
 
 FULL_DEPTH = 12
 KEEP_KEYS_DEPTH = 8
+
+
+KERNEL_LINE = f"bechex kernel: {_kernel.BACKEND} ({_kernel.BACKEND_REASON})"
+
+
+def pytest_report_header(config):
+    return KERNEL_LINE
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, so a quiet log states its kernel at the end.
+    if config.getoption("verbose") < 0:
+        terminalreporter.write_line(KERNEL_LINE)
 
 
 class EnumerationSession:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -99,6 +100,41 @@ class TestAnalyze:
         results = json.loads(out)["results"]
         assert [r.get("error") for r in results] == [None, "InvalidSymbols", None]
         assert [r["hexagons"] for r in (results[0], results[2])] == [2, 4]
+
+
+#: A code of 16,010 edges, far above the limit of 1,024; at that length
+#: canonical form and deficit used to take most of a minute.
+LONG_CODE = "5" + "1" * 16005
+
+
+class TestCodeLength:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["analyze", LONG_CODE], ""),
+            (["analyze", "--stdin", "--json"], "55\n" + LONG_CODE + "\n"),
+            (["canonical", LONG_CODE], ""),
+            (["validate", LONG_CODE], ""),
+            (["embed", LONG_CODE], ""),
+            (["render", LONG_CODE], ""),
+            (["lookup", LONG_CODE], ""),
+        ],
+        ids=["analyze", "analyze-stdin", "canonical", "validate", "embed", "render", "lookup"],
+    )
+    def test_a_code_above_the_perimeter_limit_exits_3_at_once(self, argv, stdin):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, stdin=stdin)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "16010 edges exceeds the limit of 1024" in err
+
+    def test_a_code_at_the_limit_is_analyzed(self):
+        code, out, _ = run_cli("analyze", "5" + "1" * 1019, "--json")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["length"] == 1020
+        assert result["embeddable"] is False
 
 
 class TestSimpleCommands:

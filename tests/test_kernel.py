@@ -193,7 +193,7 @@ def test_each_child_comes_from_one_parent(backend):
     for h in range(1, PARTITION_DEPTH):
         children = [child for parent in levels[h] for child in backend.grow([parent])]
         assert len(set(children)) == len(children), f"a child grown twice from h={h}"
-        assert sorted(children) == levels[h + 1], f"grow from h={h}"
+        assert children == levels[h + 1], f"grow from h={h}"
 
 
 class TestContract:
