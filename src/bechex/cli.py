@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import enumeration, families
-from ._kernel.common import check_edges
+from ._kernel.common import MAX_PERIMETER, check_edges
 from .codes import Code, canonical, classify, parse_code, winding
 from .errors import (
     BechexError,
@@ -27,9 +27,10 @@ from .errors import (
     InvalidSymbols,
     NotClosed,
     ParamOutOfRange,
+    ResourceLimit,
     SelfIntersecting,
 )
-from .lattice import embed, trace
+from .lattice import NEIGHBOR_OFFSETS, embed, trace
 from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
@@ -57,6 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse(text: str) -> Code:
     """Parse a code given to a command; one of more than MAX_PERIMETER
     edges raises ResourceLimit before any work on it."""
+    digits = text.strip()
+    if len(digits) > MAX_PERIMETER:
+        # Each symbol is at least one edge: refuse a long code before its tuple is built.
+        counts = [digits.count(str(s)) for s in range(1, 6)]
+        if sum(counts) == len(digits):
+            check_edges(sum(s * n for s, n in enumerate(counts, 1)))
     code = parse_code(text)
     check_edges(sum(code.symbols))
     return code
@@ -179,7 +186,8 @@ def _cmd_embed(args) -> int:
 
 def _read_cells(path: str):
     """The cells of a cell file, in file order; a cell set that is not a
-    benzenoid raises Disconnected or Holed."""
+    benzenoid raises Disconnected or Holed, one of more than
+    MAX_PERIMETER boundary edges ResourceLimit."""
     cells = {}
     # An undecodable byte becomes U+FFFD and so makes its line a bad cell line.
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -196,6 +204,12 @@ def _read_cells(path: str):
             cells[q, r] = None
     if not cells:
         raise ParamOutOfRange("empty cell file")
+    # The cell sides that face no cell: 6n less two per adjacent pair.
+    edges = sum((q + dq, r + dr) not in cells for q, r in cells for dq, dr in NEIGHBOR_OFFSETS)
+    if edges > MAX_PERIMETER:
+        raise ResourceLimit(
+            f"a cell file of {edges} boundary edges exceeds the limit of {MAX_PERIMETER}"
+        )
     cells = tuple(cells)
     trace(cells)
     return cells
@@ -289,8 +303,6 @@ def _cmd_lookup(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.resume and not args.out:
-        raise ParamOutOfRange("--resume needs --out")
     reports = enumeration.run_search(
         args.hexagons, workers=args.threads, out_dir=args.out, resume=args.resume
     )

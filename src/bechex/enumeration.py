@@ -255,18 +255,21 @@ def run_search(
     Written files are sorted and the whole output is byte-deterministic:
     it depends only on h, never on the worker count.  A level's code file
     is written last, so it marks a finished level.  With ``resume``,
-    levels present as files are reloaded instead of recomputed, so the
-    returned reports always cover every level from 2 to ``h_max``.
+    which needs ``out_dir``, levels present as files are reloaded instead
+    of recomputed, so the returned reports always cover every level from
+    2 to ``h_max``.
     """
     if workers < 1:
         raise ParamOutOfRange("workers must be >= 1")
     cores = os.cpu_count() or 1
     if workers > cores:
         raise ResourceLimit(f"{workers} workers exceed the {cores} CPU cores of this machine")
+    if resume and out_dir is None:
+        raise ParamOutOfRange("resume needs out_dir, the directory of --out")
     out_dir = Path(out_dir) if out_dir is not None else None
     keep = out_dir is not None
     # The scan for stored levels stops at the cap; _levels refuses a higher h_max.
-    top = min(h_max, DEFAULT_MAX_H) if resume and keep else 0
+    top = min(h_max, DEFAULT_MAX_H) if resume else 0
     stored = next((h for h in range(top, 0, -1) if _level_path(out_dir, h).is_file()), 0)
     root_h = min(h_max, max(_ROOT_H, stored))
     reports = []

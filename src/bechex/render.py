@@ -28,7 +28,8 @@ _CORNERS = [
 class RenderOptions:
     """Styling knobs shared by both output formats.
 
-    Colors are named so they stay valid in SVG and TikZ alike.
+    Colors are named, made of ASCII letters only, so they stay valid in
+    SVG and TikZ alike and cannot escape an attribute or an option list.
     """
 
     edge_length: float = 30.0
@@ -39,6 +40,9 @@ class RenderOptions:
     def __post_init__(self) -> None:
         if not 0 < self.edge_length < math.inf:
             raise ParamOutOfRange("edge_length must be positive and finite")
+        for color in (self.stroke, self.fill):
+            if not (color.isascii() and color.isalpha()):
+                raise ParamOutOfRange(f"color {color!r} is not a color name")
 
 
 def _fmt(value: float) -> str:

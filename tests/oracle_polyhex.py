@@ -2,10 +2,12 @@
 
 This module is an independent check on the package's enumeration engine
 and deliberately shares no code with it.  It works in cube coordinates
-(x + y + z = 0), enumerates FIXED shapes (distinct up to translation
-only) by brute-force growth, filters out shapes enclosing holes with a
-bounding-box flood fill, and then counts FREE shapes exactly by adding
-1/|orbit| per fixed shape under the 12 lattice symmetries.
+(x + y + z = 0) and grows FREE shapes (distinct up to translation,
+rotation and reflection) level by level: every shape of size n + 1 is a
+shape of size n plus one neighbouring cell, and each is stored once, as
+its canonical form.  Shapes enclosing holes stay in the levels, so no
+shape is lost for lack of a hole-free parent; a bounding-box flood fill
+picks out the hole-free ones to count.
 
 Run as a script to print the counts table:
 
@@ -15,7 +17,7 @@ Run as a script to print the counts table:
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
+from itertools import permutations
 
 # the six cube-coordinate unit steps of the hexagonal tiling
 STEPS = (
@@ -27,32 +29,20 @@ STEPS = (
     (0, -1, 1),
 )
 
-
-def _normalize(cells):
-    """Translate so the minimum x and z coordinates are both zero."""
-    mx = min(c[0] for c in cells)
-    mz = min(c[2] for c in cells)
-    # translation vector (-mx, mx+mz, -mz) keeps x+y+z = 0
-    return frozenset((x - mx, y + mx + mz, z - mz) for x, y, z in cells)
+# the 12 lattice symmetries fixing a cell: permute the cube coordinates,
+# then keep or negate all three
+SYMMETRIES = [(p, s) for p in permutations(range(3)) for s in (1, -1)]
 
 
-def _rot60(cells):
-    return [(-z, -x, -y) for x, y, z in cells]
-
-
-def _mirror(cells):
-    return [(x, z, y) for x, y, z in cells]
-
-
-def _orbit_size(shape):
-    """Distinct translation-normalized images under the 12 symmetries."""
-    images = set()
-    for base in (list(shape), _mirror(shape)):
-        cur = base
-        for _ in range(6):
-            images.add(_normalize(cur))
-            cur = _rot60(cur)
-    return len(images)
+def _canonical(cells):
+    """The least sorted translate, moved to start at the origin, over the
+    shape's 12 images."""
+    forms = []
+    for (i, j, k), s in SYMMETRIES:
+        image = sorted((s * c[i], s * c[j], s * c[k]) for c in cells)
+        x0, y0, z0 = image[0]
+        forms.append(tuple((x - x0, y - y0, z - z0) for x, y, z in image))
+    return min(forms)
 
 
 def _has_hole(shape):
@@ -79,31 +69,23 @@ def _has_hole(shape):
     return len(seen) != total_free
 
 
-def fixed_shapes(n_max):
-    """Lists of translation-normalized shapes, holes included, per size."""
-    levels = [None, [_normalize([(0, 0, 0)])]]
-    for _ in range(2, n_max + 1):
-        grown = set()
-        for shape in levels[-1]:
-            for x, y, z in shape:
-                for dx, dy, dz in STEPS:
-                    nb = (x + dx, y + dy, z + dz)
-                    if nb not in shape:
-                        grown.add(_normalize(shape | {nb}))
-        levels.append(sorted(grown, key=sorted))
-    return levels
+def _grow(level):
+    """Canonical forms of every shape one cell larger than a shape of level."""
+    grown = set()
+    for shape in level:
+        around = {(x + dx, y + dy, z + dz) for x, y, z in shape for dx, dy, dz in STEPS}
+        for cell in around.difference(shape):
+            grown.add(_canonical(shape + (cell,)))
+    return grown
 
 
 def free_simply_connected_counts(n_max):
-    """free benzenoid count per h, h = 1..n_max, as exact integers."""
-    counts = []
-    for level in fixed_shapes(n_max)[1:]:
-        total = Fraction(0)
-        for shape in level:
-            if not _has_hole(shape):
-                total += Fraction(1, _orbit_size(shape))
-        assert total.denominator == 1, "orbit arithmetic must come out integral"
-        counts.append(int(total))
+    """free benzenoid count per h, h = 1..n_max."""
+    level = {((0, 0, 0),)}
+    counts = [1]
+    for _ in range(2, n_max + 1):
+        level = _grow(level)
+        counts.append(sum(not _has_hole(shape) for shape in level))
     return counts
 
 

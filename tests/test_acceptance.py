@@ -107,14 +107,21 @@ def test_criterion_02_extremal_tables_to_h12(enumeration_session):
 
 
 def test_criterion_03_counts_match_independent_oracle(enumeration_session):
+    t0 = time.perf_counter()
     oracle = free_simply_connected_counts(ORACLE_DEPTH)
+    dt = time.perf_counter() - t0
     assert oracle[2] == 3 and oracle[3] == 7
     engine = [enumeration_session.counts[h] for h in range(1, ORACLE_DEPTH + 1)]
     assert engine == oracle
     # frozen output of an earlier oracle run; regenerate with
     #   python tests/oracle_polyhex.py 10
     assert oracle == [1, 1, 3, 7, 22, 81, 331, 1435, 6505, 30086]
-    _line(3, f"benzenoid counts equal the naive oracle for h=1..{ORACLE_DEPTH}")
+    assert dt <= 90.0, f"oracle took {dt:.1f}s, budget 90s"
+    _line(
+        3,
+        f"benzenoid counts equal the naive oracle for h=1..{ORACLE_DEPTH}; "
+        f"oracle {dt:.1f} s (budget 90 s)",
+    )
 
 
 def test_criterion_04_spiral_law():

@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from bechex.cli import main
+from bechex.lattice import trace
 
 
 def run_cli(*argv, stdin: str = ""):
@@ -129,6 +130,18 @@ class TestCodeLength:
         assert out == ""
         assert err.startswith("error:") and "16010 edges exceeds the limit of 1024" in err
 
+    def test_a_stdin_line_of_twenty_million_symbols_exits_3_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("analyze", "--stdin", "--json", stdin="5" * 20_000_000 + "\n")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "100000000 edges exceeds the limit of 1024" in err
+
+    def test_a_long_line_with_other_characters_is_still_malformed(self):
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="5" * 2000 + "x\n")
+        assert code == 1
+        assert [r["error"] for r in json.loads(out)["results"]] == ["InvalidSymbols"]
+
     def test_a_code_at_the_limit_is_analyzed(self):
         code, out, _ = run_cli("analyze", "5" + "1" * 1019, "--json")
         assert code == 0
@@ -201,6 +214,29 @@ class TestRender:
         cells = tmp_path / "cells.txt"
         cells.write_text("0 0 7\n")
         assert run_cli("render", "--cells", str(cells))[0] == 3
+
+    def test_a_cell_file_of_too_many_edges_exits_3_at_once(self, tmp_path):
+        cells = tmp_path / "cells.txt"
+        cells.write_text("".join(f"{q} 0\n" for q in range(100_000)))
+        start = time.perf_counter()
+        code, out, err = run_cli("render", "--cells", str(cells))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "400002 boundary edges exceeds the limit of 1024" in err
+
+    def test_a_cell_file_at_the_edge_limit_renders(self, tmp_path):
+        # a line of 255 cells (1,022 edges) and one cell over its first pair: 1,024 edges
+        line = [(q, 0) for q in range(255)] + [(0, 1)]
+        cells = tmp_path / "cells.txt"
+        cells.write_text("".join(f"{q} {r}\n" for q, r in line))
+        code, out, _ = run_cli("render", "--cells", str(cells))
+        assert code == 0 and out.count("<path ") == 256
+        with cells.open("a") as fh:
+            fh.write("255 0\n")  # 1,028 edges
+        assert run_cli("render", "--cells", str(cells))[0] == 3
+        embedded = tmp_path / "embedded.txt"
+        assert run_cli("embed", str(trace(line)), "--cells-out", str(embedded))[0] == 0
+        assert run_cli("render", "--cells", str(embedded))[0] == 0
 
     @pytest.mark.parametrize(
         "text,status,error",
@@ -329,7 +365,7 @@ class TestEnumerate:
         code, out, err = run_cli("enumerate", "--hexagons", "4", "--resume")
         assert code == 3
         assert out == ""
-        assert "--resume needs --out" in err
+        assert err.startswith("error:") and "--out" in err
 
     def test_resume_with_missing_level_file_exits_3(self, tmp_path):
         assert run_cli("enumerate", "--hexagons", "4", "--out", str(tmp_path))[0] == 0
@@ -384,6 +420,8 @@ EXIT_CODES = [
     (["render", "55", "--edge-length", "nan"], 3),
     (["render", "55", "--edge-length", "inf"], 3),
     (["analyze", "55", "--stdin"], 3),
+    (["render", "55", "--stroke", 'black"/><script>alert(1)</script><path d="'], 3),
+    (["render", "55", "--format", "tikz", "--fill", "red] (0,0) -- (9,9); \\draw["], 3),
 ]
 
 

@@ -1,9 +1,11 @@
 """Exhaustive enumeration engine: counts, reports, persistence, fusenes.
 
 Expected shape counts for h <= 10 were recomputed independently with
-tests/oracle_polyhex.py (naive fixed-shape growth in cube coordinates
-plus exact orbit counting); h = 11 and 12 were confirmed by running the
-compiled kernel and the pure-Python kernel against each other.
+tests/oracle_polyhex.py (naive level-by-level growth of free shapes in
+cube coordinates, each kept once as its least image under the 12
+lattice symmetries, holed shapes included, then a hole test); h = 11
+and 12 were confirmed by running the compiled kernel and the
+pure-Python kernel against each other.
 """
 
 import json
@@ -29,7 +31,7 @@ from bechex.enumeration import (
     report,
     run_search,
 )
-from bechex.errors import NotClosed, ResourceLimit, ResumeError, SelfIntersecting
+from bechex.errors import NotClosed, ParamOutOfRange, ResourceLimit, ResumeError, SelfIntersecting
 from bechex.lattice import (
     Condensation,
     condensation_class,
@@ -111,6 +113,10 @@ class TestCounts:
         with pytest.raises(ValueError):
             run_search(4, workers=0, out_dir=tmp_path, resume=True)
         assert looked == []
+
+    def test_resume_needs_an_output_directory(self, no_growth):
+        with pytest.raises(ParamOutOfRange, match="--out"):
+            run_search(4, resume=True)
 
     def test_worker_count_is_bounded(self, no_growth):
         too_many = (os.cpu_count() or 1) + 1

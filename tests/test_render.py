@@ -6,6 +6,7 @@ import re
 import pytest
 
 from bechex.codes import parse_code
+from bechex.errors import ParamOutOfRange
 from bechex.lattice import embed
 from bechex.render import RenderOptions, to_svg, to_tikz
 
@@ -71,6 +72,22 @@ class TestSvg:
     def test_bad_edge_length(self):
         with pytest.raises(ValueError):
             RenderOptions(edge_length=0)
+
+    @pytest.mark.parametrize("field", ["stroke", "fill"])
+    @pytest.mark.parametrize(
+        "color",
+        [
+            'black"/><script>alert(1)</script><path d="',
+            "red] (0,0) -- (9,9); \\draw[",
+            "#000",
+            "light gray",
+            "",
+            "gr\u00e4y",
+        ],
+    )
+    def test_a_color_that_is_not_a_name_is_refused(self, field, color):
+        with pytest.raises(ParamOutOfRange, match="not a color name"):
+            RenderOptions(**{field: color})
 
 
 class TestTikz:
