@@ -1,4 +1,4 @@
-"""Hot kernels for the enumeration engine.
+"""Hot kernels for the enumeration engine and ``bechex analyze``.
 
 Four entries make the kernel contract: ``grow``, ``trace_code``,
 ``code_deficit`` and ``code_key``.  ``grow(parents)`` returns a list of

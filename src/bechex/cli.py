@@ -17,9 +17,10 @@ import signal
 import sys
 from dataclasses import asdict
 
+from . import _kernel as kernel
 from . import enumeration, families
 from ._kernel.common import MAX_PERIMETER, check_edges
-from .codes import Code, canonical, classify, parse_code, winding
+from .codes import Code, _convexity_kind, canonical, parse_code, winding
 from .errors import (
     BechexError,
     Disconnected,
@@ -30,7 +31,7 @@ from .errors import (
     ResourceLimit,
     SelfIntersecting,
 )
-from .lattice import NEIGHBOR_OFFSETS, embed, trace
+from .lattice import NEIGHBOR_OFFSETS, _condensation, embed, trace
 from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
@@ -79,14 +80,25 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def _analyze_one(code: Code) -> dict:
-    info = classify(code)
+    text = str(code)
+    deficit = kernel.code_deficit(text)
     payload = {
-        "code": str(code),
+        "code": text,
         "length": len(code),
         "winding": winding(code),
-        "deficit": info.deficit,
-        "class": info.kind.value,
+        "deficit": None if deficit < 0 else deficit,
+        "class": _convexity_kind(code.symbols).value,
     }
+    try:
+        key = kernel.code_key(text)
+        if key is not None:
+            cells = kernel.unpack_cells(key)
+            payload.update(canonical=kernel.trace_code(key), embeddable=True, hexagons=len(cells),
+                           condensation=_condensation(cells).value)
+            return payload
+    except ResourceLimit:
+        pass
+    # No shape, and embed names why; or one above the kernel's limits, which embed fills.
     try:
         shape = embed(code)
     except BechexError as exc:

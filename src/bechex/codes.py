@@ -62,9 +62,7 @@ class Code:
             return
         for s in self.symbols:
             if not 1 <= s <= 5:
-                raise InvalidSymbols(
-                    f"symbol {s!r} not in 1..5 (6 stands alone as the benzene code)"
-                )
+                raise _bad_symbol(s)
 
     @property
     def is_benzene(self) -> bool:
@@ -77,6 +75,10 @@ class Code:
         return len(self.symbols)
 
 
+def _bad_symbol(s: int) -> InvalidSymbols:
+    return InvalidSymbols(f"symbol {s!r} not in 1..5 (6 stands alone as the benzene code)")
+
+
 #: The code of benzene, the single hexagon.
 BENZENE = Code((BENZENE_SYMBOL,))
 
@@ -84,8 +86,13 @@ BENZENE = Code((BENZENE_SYMBOL,))
 def parse_code(text: str) -> Code:
     """Parse ASCII digits (surrounding whitespace ignored) into a code."""
     stripped = text.strip()
-    if not (stripped.isascii() and stripped.isdigit()):
+    # The characters outside 1..5, in order, found before any tuple is
+    # built; a non-ASCII character becomes "?".
+    others = stripped.encode("ascii", "replace").translate(None, b"12345")
+    if not stripped or others and not others.isdigit():
         raise InvalidSymbols(f"not a digit string: {text!r}")
+    if others and stripped != "6":
+        raise _bad_symbol(int(others[:1]))
     return Code(tuple(int(ch) for ch in stripped))
 
 
@@ -211,17 +218,20 @@ def classify(code: Code) -> ConvexityClass:
     all.  Everything else is general.  The buckets match the deficit
     exactly: convex <=> deficit 0, pseudo-/quasi-convex <=> deficit 1.
     """
-    deficit = convexity_deficit(code)
-    syms = code.symbols
+    return ConvexityClass(_convexity_kind(code.symbols), convexity_deficit(code))
+
+
+def _convexity_kind(syms: tuple[int, ...]) -> ConvexityKind:
+    """The bucket ``classify`` gives a code with these symbols."""
     if 1 not in syms:
-        return ConvexityClass(ConvexityKind.CONVEX, deficit)
+        return ConvexityKind.CONVEX
     n = len(syms)
     pairs = {(syms[i], syms[(i + 1) % n]) for i in range(n)}
     if pairs & {(1, 1), (1, 2), (2, 1)}:
-        return ConvexityClass(ConvexityKind.GENERAL, deficit)
+        return ConvexityKind.GENERAL
     if 2 in syms:
-        return ConvexityClass(ConvexityKind.QUASI_CONVEX, deficit)
-    return ConvexityClass(ConvexityKind.PSEUDO_CONVEX, deficit)
+        return ConvexityKind.QUASI_CONVEX
+    return ConvexityKind.PSEUDO_CONVEX
 
 
 def one_contact_attach(code: Code, position: int, s1: int) -> Code:

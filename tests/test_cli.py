@@ -10,8 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import bechex._kernel as kernel
 from bechex.cli import main
-from bechex.lattice import trace
+from bechex.codes import parse_code
+from bechex.errors import ResourceLimit
+from bechex.lattice import embed, trace
 
 
 def run_cli(*argv, stdin: str = ""):
@@ -28,6 +31,15 @@ def run_cli(*argv, stdin: str = ""):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+#: The 271-cell hexagonal block of side 10, above the kernel's MAX_CELLS.
+HEXAGONAL_BLOCK = tuple(
+    (q, r) for q in range(-9, 10) for r in range(-9, 10) if abs(q + r) <= 9
+)
+#: Two 67-cell arms meeting at a corner: 133 cells and 534 edges, whose
+#: code walks a grid of 69 x 135 slots, above the kernel's MAX_GRID.
+TWO_ARMS = tuple((i, 0) for i in range(67)) + tuple((66, j) for j in range(1, 67))
 
 
 class TestAnalyze:
@@ -102,6 +114,20 @@ class TestAnalyze:
         assert [r.get("error") for r in results] == [None, "InvalidSymbols", None]
         assert [r["hexagons"] for r in (results[0], results[2])] == [2, 4]
 
+    @pytest.mark.parametrize("cells", [HEXAGONAL_BLOCK, TWO_ARMS], ids=["block", "arms"])
+    def test_a_shape_above_the_kernel_limits_is_embedded(self, cells):
+        text = str(trace(cells))
+        with pytest.raises(ResourceLimit):
+            kernel.code_key(text)
+        code, out, _ = run_cli("analyze", text, "--json")
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        shape = embed(parse_code(text))
+        assert result["embeddable"] is True
+        assert result["hexagons"] == shape.hexagons == len(cells)
+        assert result["condensation"] == shape.condensation.value
+        assert result["canonical"] == str(shape.code) == text
+
 
 #: A code of 16,010 edges, far above the limit of 1,024; at that length
 #: canonical form and deficit used to take most of a minute.
@@ -136,6 +162,15 @@ class TestCodeLength:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "100000000 edges exceeds the limit of 1024" in err
+
+    def test_a_stdin_line_of_twenty_million_symbols_and_a_bad_one_exits_1_at_once(self):
+        start = time.perf_counter()
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="5" * 20_000_000 + "0\n")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        (result,) = json.loads(out)["results"]
+        assert result["error"] == "InvalidSymbols"
+        assert result["message"].startswith("symbol 0 not in 1..5 ")
 
     def test_a_long_line_with_other_characters_is_still_malformed(self):
         code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="5" * 2000 + "x\n")

@@ -37,6 +37,8 @@ from bechex.lattice import (
     walk,
 )
 
+from test_cli import HEXAGONAL_BLOCK, TWO_ARMS
+
 PARITY_DEPTH = 8
 
 _BLOCK_FAST = """
@@ -51,16 +53,57 @@ sys.meta_path.insert(0, _NoFast())
 """
 
 
-def _backend_in_fresh_process(prelude: str = "", *, pure: bool = False):
+#: Loads the compiled kernel from a given file instead of src/.
+_LOAD_FAST = """
+import importlib.abc, importlib.util, sys
+
+class _Fast(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "bechex._kernel._fast":
+            return importlib.util.spec_from_file_location(name, {path!r})
+
+sys.meta_path.insert(0, _Fast())
+"""
+
+
+def _env(pure: bool) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "BECHEX_PURE"}
     if pure:
         env["BECHEX_PURE"] = "1"
+    return env
+
+
+def _backend_in_fresh_process(prelude: str = "", *, pure: bool = False):
     code = prelude + "import bechex._kernel as k; print(k.BACKEND, k.BACKEND_REASON, sep='|')"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_env(pure)
     )
     backend, reason = out.stdout.strip().split("|")
     return backend, reason, out.stderr
+
+
+#: One line of each kind: benzene, a convex, a quasi-convex and a general
+#: code, a walk that does not close, a self-intersecting fusene, a
+#: malformed line, and two shapes above the kernel's limits.
+ANALYZE_BATCH = ["6", "444", "52441", "533511", "535151", "5111153333", "5x1"] + [
+    str(trace(cells)) for cells in (HEXAGONAL_BLOCK, TWO_ARMS)
+]
+
+
+def _analyze_in_fresh_process(prelude: str = "", *, pure: bool = False):
+    """The backend name, then the exit status and standard output of
+    ``analyze --stdin --json`` on ANALYZE_BATCH."""
+    code = prelude + (
+        "import sys, bechex._kernel as k; print(k.BACKEND, file=sys.stderr); "
+        "from bechex.cli import run; run()"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--stdin", "--json"],
+        input="\n".join(ANALYZE_BATCH).encode() + b"\n",
+        capture_output=True,
+        env=_env(pure),
+    )
+    return out.stderr.decode().strip(), out.returncode, out.stdout
 
 
 class TestBackendChoice:
@@ -81,6 +124,13 @@ class TestBackendChoice:
         assert reason == "fallback: blocked for the test"
         assert stderr.count("compiled kernel unavailable") == 1
         assert "blocked for the test" in stderr
+
+    def test_analyze_gives_the_same_bytes_on_both_backends(self, fast):
+        compiled = _analyze_in_fresh_process(_LOAD_FAST.format(path=fast.__file__))
+        python = _analyze_in_fresh_process(pure=True)
+        assert (compiled[0], python[0]) == ("c", "python")
+        assert compiled[1] == 1  # the malformed line
+        assert compiled[1:] == python[1:]
 
 
 ROOT = Path(__file__).resolve().parents[1]

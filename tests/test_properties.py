@@ -1,11 +1,15 @@
 """Randomized algebraic invariants of codes, windows and embeddings."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bechex.cli import main
 from bechex.codes import (
     Code,
     ConvexityKind,
@@ -22,7 +26,7 @@ from bechex.codes import (
     winding,
 )
 from bechex.errors import NotClosed, SelfIntersecting
-from bechex.lattice import canonical_cells, embed, mirror_cells, trace
+from bechex.lattice import NEIGHBOR_OFFSETS, canonical_cells, embed, mirror_cells, trace
 
 words = st.lists(st.integers(1, 5), min_size=1, max_size=24).map(tuple)
 codes = words.map(Code)
@@ -144,3 +148,52 @@ def walkable(c):
     except NotClosed:
         return False
     return True
+
+
+def _grown(steps) -> Code:
+    """The code of a shape grown from one cell: each step adds the free
+    neighbour in a direction of a chosen cell when its occupied neighbours
+    form one arc, so the shape stays free of holes."""
+    cells = [(0, 0)]
+    for pick, direction in steps:
+        q, r = cells[pick % len(cells)]
+        dq, dr = NEIGHBOR_OFFSETS[direction]
+        q, r = q + dq, r + dr
+        ring = [(q + a, r + b) in cells for a, b in NEIGHBOR_OFFSETS]
+        if (q, r) not in cells and sum(ring[i] and not ring[i - 1] for i in range(6)) == 1:
+            cells.append((q, r))
+    return trace(cells)
+
+
+#: Words on 1..5 of up to 40 symbols, most of which bound no benzenoid,
+#: and the codes of benzenoids of up to 13 cells read from any start in
+#: either direction.
+analyze_inputs = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=40).map(lambda w: Code(tuple(w))),
+    st.builds(
+        lambda code, k, flip: rotate(reverse(code) if flip else code, k),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 5)), max_size=12).map(_grown),
+        shifts,
+        st.booleans(),
+    ),
+)
+
+
+@COMMON
+@given(analyze_inputs)
+def test_analyze_agrees_with_the_reference(c):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["analyze", str(c), "--json"]) == 0
+    (result,) = json.loads(out.getvalue())["results"]
+    assert result["deficit"] == convexity_deficit(c)
+    assert result["class"] == classify(c).kind.value
+    assert result["canonical"] == str(canonical(c))
+    try:
+        shape = embed(c)
+    except (NotClosed, SelfIntersecting) as exc:
+        assert (result["embeddable"], result["reason"]) == (False, type(exc).__name__)
+    else:
+        assert result["embeddable"] is True
+        assert result["hexagons"] == shape.hexagons
+        assert result["condensation"] == shape.condensation.value
