@@ -378,8 +378,12 @@ trace_code(PyObject *Py_UNUSED(module), PyObject *key)
     /* cut the cyclic turn sequence right after a right turn, then read the
      * symbols off as run lengths ending at right turns */
     int f = 0, ns = 0, run = 0;
-    while (turns[f] == 0)
+    while (f < m && turns[f] == 0)
         f++;
+    if (f == m) {
+        PyErr_SetString(PyExc_ValueError, "start cell touches no other cell");
+        return NULL;
+    }
     for (int i = 0; i < m; i++) {
         run++;
         if (turns[(f + 1 + i) % m]) {

@@ -23,11 +23,10 @@ from functools import partial
 from pathlib import Path
 
 from . import _kernel as kernel
-from .codes import Code, canonical, convexity_deficit
-from .errors import (
-    BechexError, NotClosed, ParamOutOfRange, ResourceLimit, ResumeError, SelfIntersecting
-)
-from .lattice import condensation_class, embed
+from .codes import Code, canonical
+from .errors import BechexError, ParamOutOfRange, ResourceLimit, ResumeError
+from .families import _chain
+from .lattice import _condensation
 
 __all__ = [
     "DEFAULT_MAX_H",
@@ -215,7 +214,7 @@ def _level_report(h: int, distribution, extremal, codes, out_dir=None) -> Enumer
     """Report the fold of all of level h; with ``out_dir``, write from h = 2
     its report and extremal codes, then, sorting ``codes``, its code file."""
     best = max(distribution)
-    breakdown = Counter(condensation_class(kernel.unpack_cells(key)).value for *_, key in extremal)
+    breakdown = Counter(_condensation(kernel.unpack_cells(key)).value for *_, key in extremal)
     rep = EnumerationReport(
         h=h,
         count=sum(distribution.values()),
@@ -294,14 +293,8 @@ def run_search(
 
 def enumerate_unbranched_fusenes(h: int) -> list[Code]:
     """Boundary codes of the unbranched catacondensed fusenes with h
-    hexagons, one canonical representative per class, sorted.
-
-    An unbranched fusene walks out along one side of its hexagon chain
-    and back along the other, so its code is 5 s_1..s_{h-2} 5 followed by
-    the complements 4 - s_i of the side symbols in reverse order.  All
-    such codes close with winding 6; helicene-like members overlap when
-    embedded but still count as fusenes.
-    """
+    hexagons, one canonical representative per class, sorted; each is the
+    chain code of families._chain for one side of h - 2 turns."""
     if h < 2:
         raise ParamOutOfRange("unbranched fusenes need h >= 2")
     if h > DEFAULT_MAX_H:
@@ -309,23 +302,19 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
             f"unbranched fusenes to h={h} exceed the cap of {DEFAULT_MAX_H}: "
             f"there are 3^{h - 2} chains to build"
         )
-    seen = set()
-    for side in itertools.product((1, 2, 3), repeat=h - 2):
-        back = tuple(4 - s for s in reversed(side))
-        seen.add(canonical(Code((5,) + side + (5,) + back)).symbols)
-    return [Code(symbols) for symbols in sorted(seen)]
+    sides = itertools.product((1, 2, 3), repeat=h - 2)
+    classes = {canonical(Code(_chain(side))).symbols for side in sides}
+    return [Code(symbols) for symbols in sorted(classes)]
 
 
 def max_cd_unbranched_benzenoids(h: int) -> tuple[int, tuple[Code, ...]]:
     """Largest convexity deficit over the unbranched benzenoids with h
     hexagons (fusenes that embed), plus every code attaining it."""
-    found = []
-    for code in enumerate_unbranched_fusenes(h):
-        try:
-            embed(code)
-        except (NotClosed, SelfIntersecting):
-            continue
-        found.append((convexity_deficit(code), code))
+    found = [
+        (kernel.code_deficit(str(code)), code)
+        for code in enumerate_unbranched_fusenes(h)
+        if kernel.code_key(str(code)) is not None
+    ]
     best = max(deficit for deficit, _ in found)
     return best, tuple(code for deficit, code in found if deficit == best)
 

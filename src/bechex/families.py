@@ -38,29 +38,30 @@ def _alt(first: int, second: int, pairs: int) -> tuple[int, ...]:
     return (first, second) * pairs
 
 
+def _chain(side: tuple[int, ...]) -> tuple[int, ...]:
+    """The code of an unbranched chain: it walks out along one side of its
+    hexagons, turning ``side``, and back along the other, so its code is
+    5 s_1..s_{h-2} 5 followed by the complements 4 - s_i of the side
+    symbols in reverse order.  All such codes close with winding 6;
+    helicene-like chains overlap when embedded but still count as fusenes.
+    """
+    return (5,) + side + (5,) + tuple(4 - s for s in reversed(side))
+
+
 def _linear(n: int) -> tuple[int, ...]:
-    return (5,) + _rep(2, n - 2) + (5,) + _rep(2, n - 2)
+    return _chain(_rep(2, n - 2))
 
 
 def _m2(m: int, n: int) -> tuple[int, ...]:
-    return (
-        (5,) + _rep(2, m - 2) + (1,) + _rep(2, n - 2)
-        + (5,) + _rep(2, n - 2) + (3,) + _rep(2, m - 2)
-    )
+    return _chain(_rep(2, m - 2) + (1,) + _rep(2, n - 2))
 
 
 def _m3(m: int, n: int, k: int) -> tuple[int, ...]:
-    return (
-        (5,) + _rep(2, k - 2) + (1,) + _rep(2, m - 2) + (1,) + _rep(2, n - 2)
-        + (5,) + _rep(2, n - 2) + (3,) + _rep(2, m - 2) + (3,) + _rep(2, k - 2)
-    )
+    return _chain(_rep(2, k - 2) + (1,) + _rep(2, m - 2) + (1,) + _rep(2, n - 2))
 
 
 def _z3(m: int, n: int, k: int) -> tuple[int, ...]:
-    return (
-        (5,) + _rep(2, n - 2) + (1,) + _rep(2, k - 2) + (3,) + _rep(2, m - 2)
-        + (5,) + _rep(2, m - 2) + (1,) + _rep(2, k - 2) + (3,) + _rep(2, n - 2)
-    )
+    return _chain(_rep(2, n - 2) + (1,) + _rep(2, k - 2) + (3,) + _rep(2, m - 2))
 
 
 def _chevron(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -106,25 +107,22 @@ def _t(m: int) -> tuple[int, ...]:
     return half + half
 
 
-def _spiral_arm(symbol: int, length: int) -> tuple[int, ...]:
-    # prefix of the infinite word (s)(s)(s) (2s)(2s)(2s) (22s)(22s)(22s) ...
+def _spiral_arm(length: int) -> tuple[int, ...]:
+    # prefix of the infinite word (3)(3)(3) (23)(23)(23) (223)(223)(223) ...
     out: list[int] = []
     k = 0
     while len(out) < length:
-        out.extend(([2] * k + [symbol]) * 3)
+        out.extend(([2] * k + [3]) * 3)
         k += 1
     return tuple(out[:length])
 
 
 def _spiral(h: int) -> tuple[int, ...]:
-    arm = h - 2
-    a = _spiral_arm(3, arm)
-    b = _spiral_arm(1, arm)
-    return (5,) + a + (5,) + b[::-1]
+    return _chain(_spiral_arm(h - 2))
 
 
 def _helicene(h: int) -> tuple[int, ...]:
-    return (5,) + _rep(1, h - 2) + (5,) + _rep(3, h - 2)
+    return _chain(_rep(1, h - 2))
 
 
 @dataclass(frozen=True, slots=True)

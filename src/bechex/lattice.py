@@ -278,6 +278,8 @@ def _boundary_code(norm: tuple[Cell, ...]) -> Code:
         if len(turns) > limit:
             raise RuntimeError("perimeter walk failed to terminate")
     m = len(turns)
+    if True not in turns:  # six left turns: the start cell is alone, the cells not connected
+        raise ValueError("start cell touches no other cell")
     first = turns.index(True)
     symbols = []
     run = 0

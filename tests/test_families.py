@@ -64,6 +64,27 @@ class TestTemplates:
     def test_small_members_are_named_compounds(self, fid, params, named):
         assert equivalent(generate(fid, *params), parse_code(named))
 
+    @pytest.mark.parametrize(
+        "fid,params,code",
+        [
+            ("L", (2,), "55"),
+            ("L", (3,), "5252"),
+            ("L", (4,), "522522"),
+            ("M2", (2, 2), "5153"),
+            ("M2", (2, 3), "512523"),
+            ("M2", (3, 4), "5212252232"),
+            ("M3", (2, 2, 2), "511533"),
+            ("M3", (2, 3, 4), "522112523322"),
+            ("M3", (4, 2, 3), "521221532232"),
+            ("Z3", (2, 2, 2), "513513"),
+            ("Z3", (2, 3, 4), "521223512232"),
+            ("Z3", (4, 2, 3), "512322522123"),
+        ],
+    )
+    def test_chain_members_are_generated_as_written(self, fid, params, code):
+        # `bechex family` prints the raw code, not its canonical form
+        assert str(generate(fid, *params)) == code
+
     def test_every_member_winds_like_a_benzenoid(self):
         for fid in FAMILY_IDS:
             fam = _FAMILIES[fid.lower()]

@@ -353,6 +353,17 @@ def test_code_deficit_refuses_strings_that_are_not_codes(backend, text):
         backend.code_deficit(text)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [bytes([0, 0, 2, 2]), bytes([0, 0, 0, 0]), bytes.fromhex("010300000400")],
+    ids=["apart", "repeated", "unsorted"],
+)
+def test_a_key_whose_first_cell_touches_no_other_is_refused(backend, key):
+    # the walk around the first cell turns left six times and never right
+    with pytest.raises(ValueError, match="^start cell touches no other cell$"):
+        backend.trace_code(key)
+
+
 #: The two extremal benzenoids of h = 14 (tests/test_enumeration.py
 #: finds them by exhaustive search when run with ``-m slow``).
 H14_EXTREMAL = ["53332322215133511122212111", "53332323115133511131212111"]
