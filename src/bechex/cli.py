@@ -31,7 +31,7 @@ from .errors import (
     ResourceLimit,
     SelfIntersecting,
 )
-from .lattice import NEIGHBOR_OFFSETS, _condensation, embed, trace
+from .lattice import NEIGHBOR_OFFSETS, _code_condensation, embed, trace
 from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
@@ -79,12 +79,28 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _analyze_one(code: Code) -> dict:
-    text = str(code)
+#: One flat result dict as its lines in _emit's output, less the braces;
+#: with no indent, json encodes it in C.
+_RESULT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _emit_results(results: list) -> None:
+    """Write the bytes of _emit({"results": results}, True, []), where each
+    result is a flat dict, one result at a time."""
+    write = sys.stdout.write
+    write('{\n  "results": [')
+    for i, payload in enumerate(results):
+        write(("," if i else "") + "\n    {\n      " + _RESULT_ENCODER.encode(payload)[1:-1] + "\n    }")
+    write(("\n  " if results else "") + f'],\n  "schema_version": {enumeration.SCHEMA_VERSION}\n}}\n')
+
+
+def _analyze_one(text: str) -> dict:
+    """The analysis of one code given as text."""
+    code, text = _parse(text), text.strip()
     deficit = kernel.code_deficit(text)
     payload = {
         "code": text,
-        "length": len(code),
+        "length": len(text),
         "winding": winding(code),
         "deficit": None if deficit < 0 else deficit,
         "class": _convexity_kind(code.symbols).value,
@@ -92,9 +108,9 @@ def _analyze_one(code: Code) -> dict:
     try:
         key = kernel.code_key(text)
         if key is not None:
-            cells = kernel.unpack_cells(key)
-            payload.update(canonical=kernel.trace_code(key), embeddable=True, hexagons=len(cells),
-                           condensation=_condensation(cells).value)
+            canon, h = kernel.trace_code(key), len(key) // 2
+            payload.update(canonical=canon, embeddable=True, hexagons=h,
+                           condensation=_code_condensation(canon, h).value)
             return payload
     except ResourceLimit:
         pass
@@ -132,11 +148,11 @@ def _cmd_analyze(args) -> int:
     results = []
     for text in texts:
         try:
-            results.append(_analyze_one(_parse(text)))
+            results.append(_analyze_one(text))
         except InvalidSymbols as exc:
             results.append({"code": text, "error": type(exc).__name__, "message": str(exc)})
     if args.json:
-        _emit({"results": results}, True, [])
+        _emit_results(results)
     else:
         shown = 0
         for payload in results:
@@ -196,10 +212,17 @@ def _cmd_embed(args) -> int:
     return _EXIT_OK
 
 
+#: Cells of a cell file at most.  n cells have at least 2 ceil(sqrt(12n - 3))
+#: boundary edges (Harary & Harborth, J. Combin. Inform. System Sci. 1,
+#: 1976), so more than this many, 21,845, have more than MAX_PERIMETER.
+_MAX_FILE_CELLS = ((MAX_PERIMETER // 2) ** 2 + 3) // 12
+
+
 def _read_cells(path: str):
     """The cells of a cell file, in file order; a cell set that is not a
     benzenoid raises Disconnected or Holed, one of more than
-    MAX_PERIMETER boundary edges ResourceLimit."""
+    MAX_PERIMETER boundary edges ResourceLimit; reading stops at the first
+    cell more than such edges can hold."""
     cells = {}
     # An undecodable byte becomes U+FFFD and so makes its line a bad cell line.
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -214,6 +237,11 @@ def _read_cells(path: str):
             if (q, r) in cells:
                 raise ParamOutOfRange(f"cell line {raw!r} repeats a cell")
             cells[q, r] = None
+            if len(cells) > _MAX_FILE_CELLS:
+                raise ResourceLimit(
+                    f"a cell file of more than {_MAX_FILE_CELLS} cells exceeds the limit of "
+                    f"{MAX_PERIMETER} boundary edges"
+                )
     if not cells:
         raise ParamOutOfRange("empty cell file")
     # The cell sides that face no cell: 6n less two per adjacent pair.

@@ -93,7 +93,7 @@ def parse_code(text: str) -> Code:
         raise InvalidSymbols(f"not a digit string: {text!r}")
     if others and stripped != "6":
         raise _bad_symbol(int(others[:1]))
-    return Code(tuple(int(ch) for ch in stripped))
+    return Code(tuple(map(int, stripped)))
 
 
 def concat(first: Code, second: Code) -> Code:

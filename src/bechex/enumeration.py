@@ -26,7 +26,7 @@ from . import _kernel as kernel
 from .codes import Code, canonical
 from .errors import BechexError, ParamOutOfRange, ResourceLimit, ResumeError
 from .families import _chain
-from .lattice import _condensation
+from .lattice import _code_condensation
 
 __all__ = [
     "DEFAULT_MAX_H",
@@ -214,7 +214,7 @@ def _level_report(h: int, distribution, extremal, codes, out_dir=None) -> Enumer
     """Report the fold of all of level h; with ``out_dir``, write from h = 2
     its report and extremal codes, then, sorting ``codes``, its code file."""
     best = max(distribution)
-    breakdown = Counter(_condensation(kernel.unpack_cells(key)).value for *_, key in extremal)
+    breakdown = Counter(_code_condensation(code, len(key) // 2).value for _, code, key in extremal)
     rep = EnumerationReport(
         h=h,
         count=sum(distribution.values()),
@@ -294,7 +294,11 @@ def run_search(
 def enumerate_unbranched_fusenes(h: int) -> list[Code]:
     """Boundary codes of the unbranched catacondensed fusenes with h
     hexagons, one canonical representative per class, sorted; each is the
-    chain code of families._chain for one side of h - 2 turns."""
+    chain code of families._chain for one side of h - 2 turns.
+
+    The sides s, s reversed, 4 - s and 4 - s reversed give one chain read
+    from another end or the other way round, so only the least is built.
+    """
     if h < 2:
         raise ParamOutOfRange("unbranched fusenes need h >= 2")
     if h > DEFAULT_MAX_H:
@@ -302,8 +306,11 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
             f"unbranched fusenes to h={h} exceed the cap of {DEFAULT_MAX_H}: "
             f"there are 3^{h - 2} chains to build"
         )
-    sides = itertools.product((1, 2, 3), repeat=h - 2)
-    classes = {canonical(Code(_chain(side))).symbols for side in sides}
+    classes = set()
+    for side in itertools.product((1, 2, 3), repeat=h - 2):
+        other = tuple(4 - s for s in side)
+        if side <= min(side[::-1], other, other[::-1]):
+            classes.add(canonical(Code(_chain(side))).symbols)
     return [Code(symbols) for symbols in sorted(classes)]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .codes import Code, canonical
 from .errors import Disconnected, Holed, InvalidSymbols, NotClosed, ParamOutOfRange, SelfIntersecting
@@ -329,6 +330,24 @@ def _condensation(norm: tuple[Cell, ...]) -> Condensation:
     return Condensation.CATACONDENSED_UNBRANCHED
 
 
+def _code_condensation(code: str, h: int) -> Condensation:
+    """Class of the benzenoid of h hexagons that a canonical code bounds.
+
+    Its perimeter, the sum p of the code's symbols, is 4h + 2 less twice
+    its internal vertices, so it is catacondensed exactly when p = 4h + 2
+    (Gutman & Cyvin, Introduction to the Theory of Benzenoid Hydrocarbons,
+    1989).  Then each 5 is the free side of a leaf of the inner-dual tree,
+    and a tree of degrees at most 3 has two leaves more than branch nodes.
+    """
+    if h == 1:
+        return Condensation.CATACONDENSED_UNBRANCHED
+    if sum(code.encode()) - 48 * len(code) < 4 * h + 2:  # p: an ASCII digit is 48 + its value
+        return Condensation.PERICONDENSED
+    if code.count("5") > 2:
+        return Condensation.CATACONDENSED_BRANCHED
+    return Condensation.CATACONDENSED_UNBRANCHED
+
+
 def mirror_cells(cells) -> tuple[Cell, ...]:
     """The reflected cell set, normalised."""
     return normalize_cells((q, -q - r) for q, r in cells)
@@ -346,5 +365,21 @@ def _symmetric_images(cells):
 
 def canonical_cells(cells) -> tuple[Cell, ...]:
     """Least normalised form over the 12 point symmetries of the lattice;
-    the key for isomorph tests."""
-    return min(map(normalize_cells, _symmetric_images(cells)))
+    the key for isomorph tests.
+
+    A sorted form starts with its least cell, so only the images whose
+    least cell, once normalised, ties the least of all are sorted.
+    """
+    cells = tuple(cells)
+    if not cells:
+        raise ParamOutOfRange("empty cell set")
+    images = []
+    for pts in _symmetric_images(cells):
+        (min_q, r), min_r = min(pts), min(pts, key=itemgetter(1))[1]
+        images.append((r - min_r, min_q, min_r, pts))
+    least = min(lead for lead, *_ in images)
+    return min(
+        tuple(sorted((q - min_q, r - min_r) for q, r in pts))
+        for lead, min_q, min_r, pts in images
+        if lead == least
+    )

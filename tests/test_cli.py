@@ -13,6 +13,7 @@ import pytest
 import bechex._kernel as kernel
 from bechex.cli import main
 from bechex.codes import parse_code
+from bechex.enumeration import _levels, enumerate_unbranched_fusenes
 from bechex.errors import ResourceLimit
 from bechex.lattice import embed, trace
 
@@ -127,6 +128,54 @@ class TestAnalyze:
         assert result["hexagons"] == shape.hexagons == len(cells)
         assert result["condensation"] == shape.condensation.value
         assert result["canonical"] == str(shape.code) == text
+
+
+#: Lines whose parse fails, with messages that hold ', ", \ and non-ASCII characters.
+AWKWARD_LINES = ["5'1", '5"1', "5\\1", "5\u00e91", "\u00b23", "55 \u2603"]
+
+
+def _indented(out: str) -> str:
+    """The bytes json.dumps(..., sort_keys=True, indent=2) gives the payload of out."""
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class TestAnalyzeJsonBytes:
+    """analyze --json writes each result through the C encoder, in the bytes
+    of the indented encoder."""
+
+    def test_a_mixed_batch(self):
+        enumerated = [kernel.trace_code(key) for h, keys, _ in _levels(5) for key in keys]
+        fusenes = [str(c) for c in enumerate_unbranched_fusenes(7) if kernel.code_key(str(c)) is None]
+        large = str(trace(HEXAGONAL_BLOCK))
+        lines = enumerated + fusenes + [large, "535151", "  444  "]
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin="\n".join(lines) + "\n")
+        assert code == 0 and fusenes
+        results = json.loads(out)["results"]
+        assert len(results) == len(lines)
+        assert {r["embeddable"] for r in results} == {True, False}
+        assert out == _indented(out)
+
+    def test_error_lines(self):
+        stdin = "\n".join(["55"] + AWKWARD_LINES) + "\n"
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin=stdin)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r["code"] for r in results[1:]] == [line.strip() for line in AWKWARD_LINES]
+        assert all(r["error"] == "InvalidSymbols" for r in results[1:])
+        assert out == _indented(out)
+        assert "\\u00e9" in out and "\\\"" in out and "\\\\" in out
+
+    @pytest.mark.parametrize("stdin", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_no_results(self, stdin):
+        code, out, _ = run_cli("analyze", "--stdin", "--json", stdin=stdin)
+        assert code == 0
+        assert out == _indented(out) == '{\n  "results": [],\n  "schema_version": 1\n}\n'
+
+    def test_one_code(self):
+        code, out, _ = run_cli("analyze", " 5351 ", "--json")
+        assert code == 0
+        assert json.loads(out)["results"][0]["code"] == "5351"
+        assert out == _indented(out)
 
 
 #: A code of 16,010 edges, far above the limit of 1,024; at that length
@@ -252,12 +301,24 @@ class TestRender:
 
     def test_a_cell_file_of_too_many_edges_exits_3_at_once(self, tmp_path):
         cells = tmp_path / "cells.txt"
-        cells.write_text("".join(f"{q} 0\n" for q in range(100_000)))
+        # 21,845 cells, the most that 1,024 edges can hold, are read in full
+        cells.write_text("".join(f"{q} 0\n" for q in range(21_845)))
         start = time.perf_counter()
         code, out, err = run_cli("render", "--cells", str(cells))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert err.startswith("error:") and "400002 boundary edges exceeds the limit of 1024" in err
+        assert err.startswith("error:") and "87382 boundary edges exceeds the limit of 1024" in err
+
+    @pytest.mark.parametrize("lines", [21_846, 1_000_000])
+    def test_a_cell_file_of_more_cells_than_the_edges_hold_exits_3_at_once(self, tmp_path, lines):
+        # 21,846 cells have at least 1,026 boundary edges: reading stops there
+        cells = tmp_path / "cells.txt"
+        cells.write_text("".join(f"{q} 0\n" for q in range(lines)))
+        start = time.perf_counter()
+        code, out, err = run_cli("render", "--cells", str(cells))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: a cell file of more than 21845 cells exceeds the limit of 1024 boundary edges\n"
 
     def test_a_cell_file_at_the_edge_limit_renders(self, tmp_path):
         # a line of 255 cells (1,022 edges) and one cell over its first pair: 1,024 edges

@@ -11,11 +11,12 @@ pure-Python kernel against each other.
 import json
 import os
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from bechex import _kernel, enumeration
-from bechex.codes import canonical, convexity_deficit, parse_code
+from bechex.codes import Code, canonical, convexity_deficit, parse_code
 from bechex.enumeration import (
     _add,
     _descend,
@@ -32,6 +33,7 @@ from bechex.enumeration import (
     run_search,
 )
 from bechex.errors import NotClosed, ParamOutOfRange, ResourceLimit, ResumeError, SelfIntersecting
+from bechex.families import _chain
 from bechex.lattice import (
     Condensation,
     condensation_class,
@@ -354,6 +356,11 @@ class TestUnbranchedFusenes:
     def test_counts_match_burnside(self):
         for h in range(2, 9):
             assert len(enumerate_unbranched_fusenes(h)) == _free_chain_count(h)
+
+    def test_one_side_of_four_gives_every_class(self):
+        for h in range(2, 10):
+            every = {canonical(Code(_chain(side))) for side in product((1, 2, 3), repeat=h - 2)}
+            assert enumerate_unbranched_fusenes(h) == sorted(every, key=lambda c: c.symbols), h
 
     def test_codes_are_canonical_and_distinct(self):
         codes = enumerate_unbranched_fusenes(6)

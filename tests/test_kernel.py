@@ -30,6 +30,8 @@ from bechex.lattice import (
     DIRECTIONS,
     NEIGHBOR_OFFSETS,
     Condensation,
+    _code_condensation,
+    _condensation,
     canonical_cells,
     embed,
     is_simply_connected,
@@ -286,6 +288,15 @@ def level_lines():
         h: [(key, kernel.trace_code(key)) for key in keys]
         for h, keys, _ in _levels(CODE_KEY_DEPTH)
     }
+
+
+def test_the_class_read_off_the_code_is_that_of_the_inner_dual(backend, level_lines):
+    """Every benzenoid through CODE_KEY_DEPTH, benzene included: the class
+    from the canonical code's perimeter and 5s is the inner dual's."""
+    for h, lines in level_lines.items():
+        for key, _ in lines:
+            found = _code_condensation(backend.trace_code(key), len(key) // 2)
+            assert found is _condensation(unpack_cells(key)), key
 
 
 class TestCodeKey:

@@ -30,6 +30,7 @@ from bechex.lattice import (
     mirror_cells,
     normalize_cells,
     trace,
+    _symmetric_images,
     walk,
 )
 
@@ -289,6 +290,21 @@ class TestCellSymmetry:
         cells = embed(parse_code("5351")).cells
         rotated = tuple((-r, q + r) for q, r in cells)
         assert canonical_cells(rotated) == canonical_cells(cells)
+
+    def test_canonical_cells_is_the_least_of_every_image_sorted(self):
+        # sorting only the images whose least cell ties must give the same form,
+        # on benzenoids and on arbitrary cell sets, apart or holed, moved anywhere
+        rng = random.Random(15)
+        sets = [kernel.unpack_cells(key) for h, keys, _ in _levels(6) for key in keys]
+        sets += [
+            {(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 14))}
+            for _ in range(500)
+        ]
+        for cells in sets:
+            dq, dr = rng.randint(-9, 9), rng.randint(-9, 9)
+            cells = [(q + dq, r + dr) for q, r in cells]
+            rng.shuffle(cells)
+            assert canonical_cells(cells) == min(map(normalize_cells, _symmetric_images(cells)))
 
 
 #: Calls that get an empty cell set or sequence, or a negative k.
