@@ -6,7 +6,10 @@ the canonical keys of the hole-free one-cell extensions of hole-free
 shapes whose canonical parent is among ``parents``, each once: a free
 neighbour joins when its occupied neighbours form one arc, and the child
 is kept only from its canonical parent, so the lists of distinct parents
-are disjoint and, over one whole level, make exactly the next.  The compiled
+are disjoint and, over one whole level, make exactly the next.  The
+parents must be canonical keys of benzenoids, as ``grow`` and
+``code_key`` return them; for any other key the list means nothing, but
+both backends give the same one or raise the same error.  The compiled
 backend (bechex._kernel._fast, built from the hand-written _fast.c) is
 used when importable; otherwise the pure-Python backend takes over with
 identical semantics.  Set BECHEX_PURE=1 to force the pure backend.

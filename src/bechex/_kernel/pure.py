@@ -5,7 +5,8 @@ bechex.lattice, working on byte-packed cell keys.  Used when the compiled
 extension is unavailable or BECHEX_PURE is set; semantics match
 bechex._kernel._fast exactly, only speed differs.  ``grow`` keeps only
 hole-free children, by the one-arc rule, so no separate hole filter runs,
-and keeps each of them only from its canonical parent.
+and keeps each of them only from its canonical parent.  Its checks come
+in _fast.c's order, so both backends refuse the same keys.
 """
 
 from __future__ import annotations
@@ -100,13 +101,11 @@ def _canonical_child(cells, parent_rings: dict, ring: int) -> bytes | None:
                 return None
             if cell_rank == least:
                 top.append(cell)
-    # each image lists the child's cells, then T's, c first
-    n = len(cells)
-    images = list(lattice._symmetric_images(cells + tuple(top)))
-    forms = [lattice.normalize_cells(pts[:n]) for pts in images]
-    best = min(forms)
-    if any(form == best and pts[n] == max(pts[n:]) for pts, form in zip(images, forms)):
-        return pack_cells(best)
+    form, reaching = lattice._least_form(cells)
+    key = pack_cells(form)  # refuses a form past the key's bytes, kept or not
+    images = enumerate(lattice._symmetric_images(top))  # each lists T's image, c first
+    if any(pts[0] == max(pts) for t, pts in images if t in reaching):
+        return key
     return None
 
 

@@ -178,13 +178,13 @@ def _write(path: Path, chunks) -> None:
 
 def _fold(keys: list[bytes], codes: list[str] | None = None):
     """Fold some shapes of one level, traced unless ``codes`` is given:
-    (deficit Counter, (deficit, code, key) at its maximum, codes)."""
+    (deficit Counter, (deficit, code) at its maximum, codes)."""
     if codes is None:
         codes = list(map(kernel.trace_code, keys))
     # One byte per shape: a deficit is below the code's length, 4h + 2 at most.
     deficits = bytes(map(kernel.code_deficit, codes))
     best = max(deficits, default=None)
-    extremal = [(d, code, key) for code, key, d in zip(codes, keys, deficits) if d == best]
+    extremal = [(d, code) for code, d in zip(codes, deficits) if d == best]
     return Counter(deficits), extremal, codes
 
 
@@ -214,14 +214,14 @@ def _level_report(h: int, distribution, extremal, codes, out_dir=None) -> Enumer
     """Report the fold of all of level h; with ``out_dir``, write from h = 2
     its report and extremal codes, then, sorting ``codes``, its code file."""
     best = max(distribution)
-    breakdown = Counter(_code_condensation(code, len(key) // 2).value for _, code, key in extremal)
+    breakdown = Counter(_code_condensation(code, h).value for _, code in extremal)
     rep = EnumerationReport(
         h=h,
         count=sum(distribution.values()),
         distribution=dict(sorted(distribution.items())),
         mcd=best,
         ex=distribution[best],
-        extremal_codes=tuple(sorted(code for _, code, _ in extremal)),
+        extremal_codes=tuple(sorted(code for _, code in extremal)),
         extremal_breakdown=dict(sorted(breakdown.items())),
     )
     if out_dir is not None:

@@ -145,7 +145,8 @@ def embed(code: Code) -> Benzenoid:
     if code.is_benzene:
         return Benzenoid(((0, 0),), code, 1, Condensation.CATACONDENSED_UNBRANCHED)
     cells = _fill(code)
-    return Benzenoid(cells, canonical(code), len(cells), _condensation(cells))
+    canon = canonical(code)
+    return Benzenoid(cells, canon, len(cells), _code_condensation(str(canon), len(cells)))
 
 
 def _fill(code: Code) -> tuple[Cell, ...]:
@@ -253,11 +254,11 @@ def _boundary_code(norm: tuple[Cell, ...]) -> Code:
         return Code((6,))
     cell_set = set(norm)
     start_cell = norm[0]  # least cell is always on the boundary
-    j0 = next(
-        j
-        for j, (dq, dr) in enumerate(EDGE_NEIGHBOR_OFFSETS)
-        if (start_cell[0] + dq, start_cell[1] + dr) not in cell_set
-    )
+    sides = [j for j, (dq, dr) in enumerate(EDGE_NEIGHBOR_OFFSETS)
+             if (start_cell[0] + dq, start_cell[1] + dr) not in cell_set]
+    if not sides:  # the first cell of an unsorted key may be enclosed
+        raise ValueError("start cell has no boundary edge")
+    j0 = sides[0]
     # State (cell, k): the boundary edge walked in direction k with `cell`
     # interior on the left.  At the edge's far vertex the hexagon straight
     # ahead decides the turn: present = right turn (degree-3 vertex, the
@@ -313,17 +314,8 @@ def condensation_class(cells) -> Condensation:
     norm = normalize_cells(set(cells))
     if not _is_connected(set(norm)):
         raise Disconnected("cells do not form an edge-connected set")
-    return _condensation(norm)
-
-
-def _condensation(norm: tuple[Cell, ...]) -> Condensation:
-    """Class of a connected normalised cell set from its inner-dual degrees."""
-    base = max(r for _, r in norm) + 2  # no neighbour's r wraps into another q
-    ids = {q * base + r for q, r in norm}
-    a, b, c, d, e, f = (dq * base + dr for dq, dr in NEIGHBOR_OFFSETS)
-    degrees = [(i + a in ids) + (i + b in ids) + (i + c in ids)
-               + (i + d in ids) + (i + e in ids) + (i + f in ids) for i in ids]
-    if sum(degrees) // 2 > len(ids) - 1:
+    degrees = [len(neighbours) for neighbours in inner_dual(norm).values()]
+    if sum(degrees) // 2 > len(norm) - 1:
         return Condensation.PERICONDENSED
     if max(degrees) > 2:
         return Condensation.CATACONDENSED_BRANCHED
@@ -338,9 +330,8 @@ def _code_condensation(code: str, h: int) -> Condensation:
     (Gutman & Cyvin, Introduction to the Theory of Benzenoid Hydrocarbons,
     1989).  Then each 5 is the free side of a leaf of the inner-dual tree,
     and a tree of degrees at most 3 has two leaves more than branch nodes.
+    Benzene, "6" with h = 1, falls out unbranched: p = 6 and no 5.
     """
-    if h == 1:
-        return Condensation.CATACONDENSED_UNBRANCHED
     if sum(code.encode()) - 48 * len(code) < 4 * h + 2:  # p: an ASCII digit is 48 + its value
         return Condensation.PERICONDENSED
     if code.count("5") > 2:
@@ -365,7 +356,14 @@ def _symmetric_images(cells):
 
 def canonical_cells(cells) -> tuple[Cell, ...]:
     """Least normalised form over the 12 point symmetries of the lattice;
-    the key for isomorph tests.
+    the key for isomorph tests."""
+    return _least_form(cells)[0]
+
+
+def _least_form(cells) -> tuple[tuple[Cell, ...], list[int]]:
+    """The least normalised sorted form of cells over the 12 point
+    symmetries, and the positions, in _symmetric_images order, of the
+    symmetries that reach it.
 
     A sorted form starts with its least cell, so only the images whose
     least cell, once normalised, ties the least of all are sorted.
@@ -378,8 +376,7 @@ def canonical_cells(cells) -> tuple[Cell, ...]:
         (min_q, r), min_r = min(pts), min(pts, key=itemgetter(1))[1]
         images.append((r - min_r, min_q, min_r, pts))
     least = min(lead for lead, *_ in images)
-    return min(
-        tuple(sorted((q - min_q, r - min_r) for q, r in pts))
-        for lead, min_q, min_r, pts in images
-        if lead == least
-    )
+    forms = {t: tuple(sorted((q - min_q, r - min_r) for q, r in pts))
+             for t, (lead, min_q, min_r, pts) in enumerate(images) if lead == least}
+    best = min(forms.values())
+    return best, [t for t, form in forms.items() if form == best]

@@ -7,7 +7,9 @@ rotation and reflection) level by level: every shape of size n + 1 is a
 shape of size n plus one neighbouring cell, and each is stored once, as
 its canonical form.  Shapes enclosing holes stay in the levels, so no
 shape is lost for lack of a hole-free parent; a bounding-box flood fill
-picks out the hole-free ones to count.
+picks out the hole-free ones to count.  The convex benzenoids, those
+of convexity deficit 0, are also built directly from their bounds, with
+no growth, and kept once each the same way.
 
 Run as a script to print the counts table:
 
@@ -87,6 +89,30 @@ def free_simply_connected_counts(n_max):
         level = _grow(level)
         counts.append(sum(not _has_hole(shape) for shape in level))
     return counts
+
+
+def convex_shapes(n_max):
+    """The convex benzenoids of h = 1..n_max hexagons by construction, as
+    {h: canonical forms}: the cells (q, r) with 0 <= q <= a, 0 <= r <= b
+    and c <= q + r <= d, cut out by three pairs of parallel lattice lines.
+
+    Cell (q, r) is (q, -q - r, r) in cube coordinates.  Bounds that no
+    cell meets give the shape of tighter ones again, and a convex shape
+    spans at least one more cell than each of its widths a, b and d - c.
+    """
+    shapes = {h: set() for h in range(1, n_max + 1)}
+    for a in range(n_max):
+        for b in range(n_max):
+            for c in range(a + b + 1):
+                for d in range(c, min(c + n_max, a + b + 1)):
+                    cells = [
+                        (q, -q - r, r)
+                        for q in range(a + 1)
+                        for r in range(max(0, c - q), min(b, d - q) + 1)
+                    ]
+                    if 0 < len(cells) <= n_max:
+                        shapes[len(cells)].add(_canonical(cells))
+    return shapes
 
 
 if __name__ == "__main__":

@@ -42,6 +42,8 @@ from bechex.lattice import (
     trace,
 )
 
+from oracle_polyhex import convex_shapes
+
 EXPECTED_COUNTS = {
     1: 1,
     2: 1,
@@ -153,6 +155,13 @@ class TestReports:
         got_ex = {h: r.ex for h, r in enumeration_session.reports.items()}
         assert got_mcd == EXPECTED_MCD
         assert got_ex == EXPECTED_EX
+
+    def test_convex_benzenoids_built_from_their_bounds_fill_deficit_0(self, enumeration_session):
+        """The convex benzenoids are those of deficit 0 (Cruz, Gutman & Rada,
+        2012); the oracle builds them from their bounds, with no growth."""
+        reports = enumeration_session.reports
+        shapes = convex_shapes(max(reports))
+        assert {h: rep.distribution[0] for h, rep in reports.items()} == {h: len(shapes[h]) for h in reports}
 
     def test_extremal_codes_check_out(self, enumeration_session):
         rep = enumeration_session.reports[7]

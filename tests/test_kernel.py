@@ -14,7 +14,7 @@ import sys
 import sysconfig
 from functools import cache
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ import pytest
 import bechex._kernel as kernel
 from bechex._kernel import pack_cells, pure, unpack_cells
 from bechex._kernel.common import MAX_CELLS, MAX_GRID, MAX_PERIMETER
-from bechex.codes import convexity_deficit, parse_code
+from bechex.codes import ConvexityKind, classify, convexity_deficit, parse_code
 from bechex.enumeration import _levels, enumerate_unbranched_fusenes
 from bechex.errors import NotClosed, ResourceLimit
 from bechex.families import spiral
@@ -31,14 +31,15 @@ from bechex.lattice import (
     NEIGHBOR_OFFSETS,
     Condensation,
     _code_condensation,
-    _condensation,
     canonical_cells,
+    condensation_class,
     embed,
     is_simply_connected,
     trace,
     walk,
 )
 
+from oracle_polyhex import convex_shapes
 from test_cli import HEXAGONAL_BLOCK, TWO_ARMS
 
 PARITY_DEPTH = 8
@@ -296,7 +297,7 @@ def test_the_class_read_off_the_code_is_that_of_the_inner_dual(backend, level_li
     for h, lines in level_lines.items():
         for key, _ in lines:
             found = _code_condensation(backend.trace_code(key), len(key) // 2)
-            assert found is _condensation(unpack_cells(key)), key
+            assert found is condensation_class(unpack_cells(key)), key
 
 
 class TestCodeKey:
@@ -375,6 +376,26 @@ def test_a_key_whose_first_cell_touches_no_other_is_refused(backend, key):
         backend.trace_code(key)
 
 
+#: Cell (1, 1), then its six neighbours: the first cell has no free side.
+ENCLOSED_FIRST_CELL = bytes.fromhex("0101020101020002000101000200")
+
+
+def test_a_key_whose_first_cell_has_no_free_side_is_refused(backend):
+    with pytest.raises(ValueError, match="^start cell has no boundary edge$"):
+        backend.trace_code(ENCLOSED_FIRST_CELL)
+
+
+CONVEX_DEPTH = 12
+
+
+def test_convex_shapes_built_from_their_bounds_have_deficit_0(backend):
+    for h, shapes in convex_shapes(CONVEX_DEPTH).items():
+        for shape in shapes:
+            code = backend.trace_code(pack_cells((x, z) for x, _, z in shape))
+            assert "1" not in code and classify(parse_code(code)).kind is ConvexityKind.CONVEX, code
+            assert backend.code_deficit(code) == 0, code
+
+
 #: The two extremal benzenoids of h = 14 (tests/test_enumeration.py
 #: finds them by exhaustive search when run with ``-m slow``).
 H14_EXTREMAL = ["53332322215133511122212111", "53332323115133511131212111"]
@@ -395,6 +416,15 @@ def test_the_h14_extremal_shapes_have_deficit_21(backend, text):
 def test_a_code_that_is_not_a_str_is_a_type_error(backend, entry, value):
     with pytest.raises(TypeError, match=f"a code must be str, not {type(value).__name__}$"):
         getattr(backend, entry)(value)
+
+
+def _outcome(entry, arg):
+    """What a kernel entry gives for arg: its result, or the type and
+    message of what it raises."""
+    try:
+        return entry(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def _random_benzenoid(rng: random.Random, n: int) -> tuple:
@@ -441,10 +471,33 @@ class TestLimits:
         assert sorted(fast.grow([key])) == sorted(pure.grow([key]))
 
     def test_random_keys_agree(self, fast):
+        """Seeded keys and codes, most of them outside the contract, through
+        all four entries: both backends give the same result, or raise the
+        same exception type with the same message."""
         rng = random.Random(68)
-        for _ in range(3):
-            key = bytes(rng.randrange(41) for _ in range(2 * rng.randint(1, MAX_CELLS)))
-            assert sorted(fast.grow([key])) == sorted(pure.grow([key]))
+        keys = [bytes(rng.randrange(41) for _ in range(2 * rng.randint(1, MAX_CELLS))) for _ in range(3)]
+        keys += [bytes([118, 5, 0, 1, 255, 6]), ENCLOSED_FIRST_CELL]
+        for _ in range(2000):
+            q_span, r_span = rng.choice((3, 6, 40, 200, 256)), rng.choice((3, 6, 40, 200, 256))
+            cells = [(rng.randrange(q_span), rng.randrange(r_span)) for _ in range(rng.randint(1, 10))]
+            if rng.random() < 0.25:  # a far cell; a small r keeps the grid within its limit
+                cells.append((rng.choice((0, 255)), rng.randrange(min(r_span, 6))))
+            if rng.random() < 0.5:
+                cells.sort()
+            keys.append(bytes(chain.from_iterable(cells)))
+        codes = [
+            "".join(rng.choice("12345" if rng.random() < 0.8 else "0123456x") for _ in range(rng.randint(1, 40)))
+            for _ in range(500)
+        ]
+        for key in keys:
+            assert _outcome(fast.grow, [key]) == _outcome(pure.grow, [key]), key.hex()
+            code = _outcome(fast.trace_code, key)
+            assert code == _outcome(pure.trace_code, key), key.hex()
+            if isinstance(code, str):
+                codes.append(code)
+        for code in codes:
+            assert _outcome(fast.code_key, code) == _outcome(pure.code_key, code), code
+            assert _outcome(fast.code_deficit, code) == _outcome(pure.code_deficit, code), code
 
     def test_keys_above_the_limits_raise(self, backend):
         rng = random.Random(251)
