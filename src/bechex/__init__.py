@@ -7,149 +7,105 @@ to rotation, reflection and translation.  This package provides the
 code algebra, the hexagonal lattice embedding, convexity analysis,
 parametric families, named small compounds, exhaustive enumeration and
 SVG/TikZ rendering.
+
+``import bechex`` imports no submodule: each public name imports the
+module that defines it on first use (PEP 562).
 """
 
-from ._kernel import BACKEND
-from .codes import (
-    BENZENE,
-    Code,
-    ConvexityClass,
-    ConvexityKind,
-    canonical,
-    classify,
-    concat,
-    convexity_deficit,
-    equivalent,
-    is_k_convex,
-    min_window_average,
-    one_contact_attach,
-    parse_code,
-    reverse,
-    rotate,
-    winding,
-)
-from .enumeration import (
-    EnumerationReport,
-    check_unimodal,
-    count_benzenoids,
-    enumerate_benzenoids,
-    enumerate_unbranched_fusenes,
-    max_cd_unbranched_benzenoids,
-    report,
-    run_search,
-)
-from .errors import (
-    BechexError,
-    BenzeneNotComposable,
-    Disconnected,
-    Holed,
-    InvalidSymbols,
-    NotClosed,
-    NotFound,
-    ParamOutOfRange,
-    ResourceLimit,
-    ResumeError,
-    SelfIntersecting,
-    SplitOutOfRange,
-    WindowEmpty,
-    WindowTooLong,
-)
-from .families import (
-    FAMILY_IDS,
-    NamedCompound,
-    compounds,
-    expected_cd,
-    expected_h,
-    family_description,
-    find_by_code,
-    generate,
-    helicene,
-    lookup,
-    spiral,
-)
-from .lattice import (
-    Benzenoid,
-    BoundaryWalk,
-    Condensation,
-    canonical_cells,
-    condensation_class,
-    embed,
-    inner_dual,
-    is_simply_connected,
-    mirror_cells,
-    normalize_cells,
-    trace,
-    walk,
-)
-from .render import RenderOptions, to_svg, to_tikz
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BACKEND",
-    "BENZENE",
-    "BechexError",
-    "Benzenoid",
-    "BenzeneNotComposable",
-    "BoundaryWalk",
-    "Code",
-    "Condensation",
-    "ConvexityClass",
-    "ConvexityKind",
-    "Disconnected",
-    "EnumerationReport",
-    "FAMILY_IDS",
-    "Holed",
-    "InvalidSymbols",
-    "NamedCompound",
-    "NotClosed",
-    "NotFound",
-    "ParamOutOfRange",
-    "RenderOptions",
-    "ResourceLimit",
-    "ResumeError",
-    "SelfIntersecting",
-    "SplitOutOfRange",
-    "WindowEmpty",
-    "WindowTooLong",
-    "canonical",
-    "canonical_cells",
-    "check_unimodal",
-    "classify",
-    "compounds",
-    "concat",
-    "condensation_class",
-    "convexity_deficit",
-    "count_benzenoids",
-    "embed",
-    "enumerate_benzenoids",
-    "enumerate_unbranched_fusenes",
-    "equivalent",
-    "expected_cd",
-    "expected_h",
-    "family_description",
-    "find_by_code",
-    "generate",
-    "helicene",
-    "inner_dual",
-    "is_k_convex",
-    "is_simply_connected",
-    "lookup",
-    "max_cd_unbranched_benzenoids",
-    "min_window_average",
-    "mirror_cells",
-    "normalize_cells",
-    "one_contact_attach",
-    "parse_code",
-    "report",
-    "reverse",
-    "rotate",
-    "run_search",
-    "spiral",
-    "to_svg",
-    "to_tikz",
-    "trace",
-    "walk",
-    "winding",
-    "__version__",
-]
+#: The public names, by the submodule that defines them.
+_PUBLIC = {
+    "_kernel": ("BACKEND",),
+    "codes": (
+        "BENZENE",
+        "Code",
+        "Condensation",
+        "ConvexityClass",
+        "ConvexityKind",
+        "canonical",
+        "classify",
+        "concat",
+        "convexity_deficit",
+        "equivalent",
+        "is_k_convex",
+        "min_window_average",
+        "one_contact_attach",
+        "parse_code",
+        "reverse",
+        "rotate",
+        "winding",
+    ),
+    "enumeration": (
+        "EnumerationReport",
+        "check_unimodal",
+        "count_benzenoids",
+        "enumerate_benzenoids",
+        "enumerate_unbranched_fusenes",
+        "max_cd_unbranched_benzenoids",
+        "report",
+        "run_search",
+    ),
+    "errors": (
+        "BechexError",
+        "BenzeneNotComposable",
+        "Disconnected",
+        "Holed",
+        "InvalidSymbols",
+        "NotClosed",
+        "NotFound",
+        "ParamOutOfRange",
+        "ResourceLimit",
+        "ResumeError",
+        "SelfIntersecting",
+        "SplitOutOfRange",
+        "WindowEmpty",
+        "WindowTooLong",
+    ),
+    "families": (
+        "FAMILY_IDS",
+        "NamedCompound",
+        "compounds",
+        "expected_cd",
+        "expected_h",
+        "family_description",
+        "find_by_code",
+        "generate",
+        "helicene",
+        "lookup",
+        "spiral",
+    ),
+    "lattice": (
+        "Benzenoid",
+        "BoundaryWalk",
+        "canonical_cells",
+        "condensation_class",
+        "embed",
+        "inner_dual",
+        "is_simply_connected",
+        "mirror_cells",
+        "normalize_cells",
+        "trace",
+        "walk",
+    ),
+    "render": ("RenderOptions", "to_svg", "to_tikz"),
+}
+
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

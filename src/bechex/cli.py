@@ -5,7 +5,8 @@ embedded as a benzenoid, 3 usage errors (bad arguments, unknown names,
 out-of-range options, codes of more than MAX_PERIMETER edges, files that
 cannot be read or written), 141
 (128 + SIGPIPE) when the reader of standard output closed it early.
-``main`` alone turns an exception into an exit code.
+``main`` alone turns an exception into an exit code.  A command imports
+the lattice, the families or the renderer only when it runs.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import sys
 from dataclasses import asdict
 
 from . import _kernel as kernel
-from . import enumeration, families
+from . import enumeration
 from ._kernel.common import MAX_PERIMETER, check_edges
-from .codes import Code, _convexity_kind, canonical, parse_code, winding
+from .codes import Code, _code_condensation, _code_digits, _convexity_kind, canonical
 from .errors import (
     BechexError,
     Disconnected,
@@ -31,8 +32,6 @@ from .errors import (
     ResourceLimit,
     SelfIntersecting,
 )
-from .lattice import NEIGHBOR_OFFSETS, _code_condensation, embed, trace
-from .render import RenderOptions, to_svg, to_tikz
 
 _EXIT_OK = 0
 _EXIT_BAD_CODE = 1
@@ -56,18 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_USAGE)
 
 
+def _code_text(text: str) -> tuple[str, int]:
+    """The digits and edge count of a code given to a command, refused as
+    parse_code refuses it; one of more than MAX_PERIMETER edges raises
+    ResourceLimit before any work on it."""
+    digits = _code_digits(text)
+    edges = sum(digits.encode()) - 48 * len(digits)  # an ASCII digit is 48 + its value
+    check_edges(edges)
+    return digits, edges
+
+
 def _parse(text: str) -> Code:
-    """Parse a code given to a command; one of more than MAX_PERIMETER
-    edges raises ResourceLimit before any work on it."""
-    digits = text.strip()
-    if len(digits) > MAX_PERIMETER:
-        # Each symbol is at least one edge: refuse a long code before its tuple is built.
-        counts = [digits.count(str(s)) for s in range(1, 6)]
-        if sum(counts) == len(digits):
-            check_edges(sum(s * n for s, n in enumerate(counts, 1)))
-    code = parse_code(text)
-    check_edges(sum(code.symbols))
-    return code
+    """Parse a code given to a command, refused as _code_text refuses it."""
+    return Code(tuple(map(int, _code_text(text)[0])))
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -96,14 +96,14 @@ def _emit_results(results: list) -> None:
 
 def _analyze_one(text: str) -> dict:
     """The analysis of one code given as text."""
-    code, text = _parse(text), text.strip()
+    text, edges = _code_text(text)
     deficit = kernel.code_deficit(text)
     payload = {
         "code": text,
         "length": len(text),
-        "winding": winding(code),
+        "winding": edges - 2 * len(text),
         "deficit": None if deficit < 0 else deficit,
-        "class": _convexity_kind(code.symbols).value,
+        "class": _convexity_kind(text).value,
     }
     try:
         key = kernel.code_key(text)
@@ -115,6 +115,8 @@ def _analyze_one(text: str) -> dict:
     except ResourceLimit:
         pass
     # No shape, and embed names why; or one above the kernel's limits, which embed fills.
+    from .lattice import embed
+    code = Code(tuple(map(int, text)))
     try:
         shape = embed(code)
     except BechexError as exc:
@@ -142,7 +144,7 @@ def _analyze_lines(payload: dict):
 
 def _cmd_analyze(args) -> int:
     if args.stdin:
-        texts = [line.strip() for line in sys.stdin if line.strip()]
+        texts = [text for text in map(str.strip, sys.stdin) if text]
     else:
         texts = [args.code]
     results = []
@@ -176,6 +178,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .lattice import embed
     code = _parse(args.code)
     try:
         shape = embed(code)
@@ -194,6 +197,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .lattice import embed
     code = _parse(args.code)
     shape = embed(code)
     cells = [list(c) for c in shape.cells]
@@ -223,6 +227,7 @@ def _read_cells(path: str):
     benzenoid raises Disconnected or Holed, one of more than
     MAX_PERIMETER boundary edges ResourceLimit; reading stops at the first
     cell more than such edges can hold."""
+    from .lattice import NEIGHBOR_OFFSETS, trace
     cells = {}
     # An undecodable byte becomes U+FFFD and so makes its line a bad cell line.
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -256,6 +261,8 @@ def _read_cells(path: str):
 
 
 def _cmd_render(args) -> int:
+    from .lattice import embed
+    from .render import RenderOptions, to_svg, to_tikz
     if args.cells:
         cells = _read_cells(args.cells)
     else:
@@ -276,6 +283,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import families
     if args.list:
         if args.json:
             payload = {
@@ -308,7 +316,8 @@ def _cmd_family(args) -> int:
     return _EXIT_OK
 
 
-def _compound_payload(item: families.NamedCompound) -> dict:
+def _compound_payload(item) -> dict:
+    """The --json record of a families.NamedCompound."""
     data = asdict(item)
     data["names"] = list(item.names)
     data["kind"] = item.kind.value
@@ -316,6 +325,7 @@ def _compound_payload(item: families.NamedCompound) -> dict:
 
 
 def _cmd_lookup(args) -> int:
+    from . import families
     if args.all:
         items = families.compounds()
         if args.json:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     BenzeneNotComposable,
@@ -23,9 +23,13 @@ from .errors import (
     WindowTooLong,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "BENZENE",
     "Code",
+    "Condensation",
     "ConvexityClass",
     "ConvexityKind",
     "canonical",
@@ -85,6 +89,12 @@ BENZENE = Code((BENZENE_SYMBOL,))
 
 def parse_code(text: str) -> Code:
     """Parse ASCII digits (surrounding whitespace ignored) into a code."""
+    return Code(tuple(map(int, _code_digits(text))))
+
+
+def _code_digits(text: str) -> str:
+    """The stripped text, once it is the digits of a code; otherwise
+    raise the InvalidSymbols that parse_code raises."""
     stripped = text.strip()
     # The characters outside 1..5, in order, found before any tuple is
     # built; a non-ASCII character becomes "?".
@@ -93,7 +103,7 @@ def parse_code(text: str) -> Code:
         raise InvalidSymbols(f"not a digit string: {text!r}")
     if others and stripped != "6":
         raise _bad_symbol(int(others[:1]))
-    return Code(tuple(map(int, stripped)))
+    return stripped
 
 
 def concat(first: Code, second: Code) -> Code:
@@ -160,6 +170,7 @@ def _min_window_sum(syms: tuple[int, ...], width: int) -> int:
 
 def min_window_average(code: Code, k: int) -> Fraction:
     """Least average over all cyclic windows of exactly k symbols (exact)."""
+    from fractions import Fraction
     if k < 1:
         raise WindowEmpty(f"window length {k} is below 1")
     n = len(code.symbols)
@@ -218,20 +229,44 @@ def classify(code: Code) -> ConvexityClass:
     all.  Everything else is general.  The buckets match the deficit
     exactly: convex <=> deficit 0, pseudo-/quasi-convex <=> deficit 1.
     """
-    return ConvexityClass(_convexity_kind(code.symbols), convexity_deficit(code))
+    return ConvexityClass(_convexity_kind(str(code)), convexity_deficit(code))
 
 
-def _convexity_kind(syms: tuple[int, ...]) -> ConvexityKind:
-    """The bucket ``classify`` gives a code with these symbols."""
-    if 1 not in syms:
+def _convexity_kind(code: str) -> ConvexityKind:
+    """The bucket ``classify`` gives the code with this text."""
+    if "1" not in code:
         return ConvexityKind.CONVEX
-    n = len(syms)
-    pairs = {(syms[i], syms[(i + 1) % n]) for i in range(n)}
-    if pairs & {(1, 1), (1, 2), (2, 1)}:
+    cyclic = code + code[0]  # every pair of neighbours, the last and first too
+    if "11" in cyclic or "12" in cyclic or "21" in cyclic:
         return ConvexityKind.GENERAL
-    if 2 in syms:
+    if "2" in code:
         return ConvexityKind.QUASI_CONVEX
     return ConvexityKind.PSEUDO_CONVEX
+
+
+class Condensation(enum.Enum):
+    """Fusion pattern of a benzenoid (shape of its inner dual)."""
+
+    CATACONDENSED_UNBRANCHED = "catacondensed-unbranched"
+    CATACONDENSED_BRANCHED = "catacondensed-branched"
+    PERICONDENSED = "pericondensed"
+
+
+def _code_condensation(code: str, h: int) -> Condensation:
+    """Class of the benzenoid of h hexagons that a canonical code bounds.
+
+    Its perimeter, the sum p of the code's symbols, is 4h + 2 less twice
+    its internal vertices, so it is catacondensed exactly when p = 4h + 2
+    (Gutman & Cyvin, Introduction to the Theory of Benzenoid Hydrocarbons,
+    1989).  Then each 5 is the free side of a leaf of the inner-dual tree,
+    and a tree of degrees at most 3 has two leaves more than branch nodes.
+    Benzene, "6" with h = 1, falls out unbranched: p = 6 and no 5.
+    """
+    if sum(code.encode()) - 48 * len(code) < 4 * h + 2:  # p: an ASCII digit is 48 + its value
+        return Condensation.PERICONDENSED
+    if code.count("5") > 2:
+        return Condensation.CATACONDENSED_BRANCHED
+    return Condensation.CATACONDENSED_UNBRANCHED
 
 
 def one_contact_attach(code: Code, position: int, s1: int) -> Code:

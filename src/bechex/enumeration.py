@@ -24,10 +24,8 @@ from functools import partial
 from pathlib import Path
 
 from . import _kernel as kernel
-from .codes import Code, canonical
+from .codes import Code, _code_condensation, canonical
 from .errors import ParamOutOfRange, ResourceLimit, ResumeError
-from .families import _chain
-from .lattice import _code_condensation
 
 __all__ = [
     "DEFAULT_MAX_H",
@@ -196,7 +194,8 @@ def _descend(parents: list[bytes], totals: list) -> list:
 def _level_report(h: int, distribution, extremal, codes, out_dir=None, stored=0) -> EnumerationReport:
     """Report the fold of all of level h; with ``out_dir``, sort ``codes``,
     check them against the stored level when h <= ``stored``, then write
-    from h = 2 its report and extremal codes, and last its code file."""
+    from h = 2 its report and extremal codes, and last its code file
+    unless that was checked."""
     best = max(distribution)
     breakdown = Counter(_code_condensation(code, h).value for _, code in extremal)
     rep = EnumerationReport(
@@ -216,7 +215,8 @@ def _level_report(h: int, distribution, extremal, codes, out_dir=None, stored=0)
         if h >= 2:
             _write(out_dir / f"report_h{h}.json", [rep.to_json()])
             _write(out_dir / f"extremal_h{h}.txt", (code + "\n" for code in rep.extremal_codes))
-        _write(_level_path(out_dir, h), (code + "\n" for code in codes))
+        if h > stored:  # a checked level file already holds these bytes
+            _write(_level_path(out_dir, h), (code + "\n" for code in codes))
     return rep
 
 
@@ -287,6 +287,7 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
     The sides s, s reversed, 4 - s and 4 - s reversed give one chain read
     from another end or the other way round, so only the least is built.
     """
+    from .families import _chain
     if h < 2:
         raise ParamOutOfRange("unbranched fusenes need h >= 2")
     if h > DEFAULT_MAX_H:

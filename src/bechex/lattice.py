@@ -16,10 +16,9 @@ fills it from the hexagon left of each edge, never entering one on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import itemgetter
 
-from .codes import Code, canonical
+from .codes import Code, Condensation, _code_condensation, canonical
 from .errors import Disconnected, Holed, InvalidSymbols, NotClosed, ParamOutOfRange, SelfIntersecting
 
 __all__ = [
@@ -63,14 +62,6 @@ EDGE_NEIGHBOR_OFFSETS: tuple[Cell, ...] = (
     (-1, 0),
     (0, -1),
 )
-
-
-class Condensation(Enum):
-    """Fusion pattern of a benzenoid (shape of its inner dual)."""
-
-    CATACONDENSED_UNBRANCHED = "catacondensed-unbranched"
-    CATACONDENSED_BRANCHED = "catacondensed-branched"
-    PERICONDENSED = "pericondensed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,23 +309,6 @@ def condensation_class(cells) -> Condensation:
     if sum(degrees) // 2 > len(norm) - 1:
         return Condensation.PERICONDENSED
     if max(degrees) > 2:
-        return Condensation.CATACONDENSED_BRANCHED
-    return Condensation.CATACONDENSED_UNBRANCHED
-
-
-def _code_condensation(code: str, h: int) -> Condensation:
-    """Class of the benzenoid of h hexagons that a canonical code bounds.
-
-    Its perimeter, the sum p of the code's symbols, is 4h + 2 less twice
-    its internal vertices, so it is catacondensed exactly when p = 4h + 2
-    (Gutman & Cyvin, Introduction to the Theory of Benzenoid Hydrocarbons,
-    1989).  Then each 5 is the free side of a leaf of the inner-dual tree,
-    and a tree of degrees at most 3 has two leaves more than branch nodes.
-    Benzene, "6" with h = 1, falls out unbranched: p = 6 and no 5.
-    """
-    if sum(code.encode()) - 48 * len(code) < 4 * h + 2:  # p: an ASCII digit is 48 + its value
-        return Condensation.PERICONDENSED
-    if code.count("5") > 2:
         return Condensation.CATACONDENSED_BRANCHED
     return Condensation.CATACONDENSED_UNBRANCHED
 

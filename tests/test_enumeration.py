@@ -294,6 +294,25 @@ class TestPersistence:
         b = run_search(5, out_dir=tmp_path / "b", resume=True)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
+    @pytest.mark.parametrize("stored", [3, 5])
+    def test_a_resume_writes_only_the_level_files_it_lacks(self, tmp_path, monkeypatch, stored):
+        run_search(5, out_dir=tmp_path / "fresh")
+        run_search(stored, out_dir=tmp_path / "run")
+        written = []
+        write = enumeration._write
+
+        def record(path, chunks):
+            written.append(path.name)
+            write(path, chunks)
+
+        monkeypatch.setattr(enumeration, "_write", record)
+        run_search(5, out_dir=tmp_path / "run", resume=True)
+        levels = [name for name in written if name.startswith("benzenoids_")]
+        assert levels == [f"benzenoids_h{h}.txt" for h in range(stored + 1, 6)]
+        # Every report and extremal file is written again.
+        assert len(written) - len(levels) == 2 * 4
+        _same_files(tmp_path / "fresh", tmp_path / "run")
+
     def test_a_run_cut_before_its_last_level_file_resumes(self, tmp_path, monkeypatch):
         fresh = tmp_path / "fresh"
         run_search(5, out_dir=fresh)
