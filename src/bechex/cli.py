@@ -47,12 +47,20 @@ _EXIT_CODES = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; we reserve 2 for geometry."""
+    """argparse exits with status 2 on bad usage; we reserve 2 for geometry.
+    An argument no parser takes is refused by the one it was given to, so
+    the usage shown is the command's, not the root parser's."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _path(text: str) -> str:

@@ -6,20 +6,26 @@ exactly one shape with h - 1, its canonical parent (McKay, J. Algorithms
 neighbours form one arc, so shapes stay hole-free and no filter, set or
 sort deduplicates a level.  Every entry point takes its levels from one
 walk of that tree from benzene, depth-first, _CHUNK parents a kernel
-call, so a level is held whole only to sort it or write its file; with
-more workers, run_search deals the subtrees from _ROOT_H out in slices
-over one pool.  Shapes equal up to rotation, reflection and translation
-share one cell key.  Files are written beside their targets, then moved,
-code files last.
+call, so a level is held whole only where enumerate_benzenoids sorts it;
+with more workers, run_search deals the subtrees from _ROOT_H out in
+slices over one pool.  Shapes equal up to
+rotation, reflection and translation share one cell key.  With out_dir,
+the process that folds some codes spills them, sorted, into runs of
+about _RUN codes in scratch files; each level file is the merge of its runs.
+Files are written beside their targets, then moved, code files last.
 A resume grows every level too, and checks each stored one against it:
 its line count before the walk, its lines after.
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import itertools
 import json
 import os
+import shutil
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -54,6 +60,11 @@ _ROOT_H = 7
 #: Parents grown in one kernel call: enough to spread the cost of a call,
 #: few enough that the walk holds little at once.
 _CHUNK = 1024
+
+#: Codes of a level a process collects before it sorts them into a run:
+#: at h = 14 three levels fill theirs, about 27 MB each, so --out stays
+#: near 100 MB; a one-worker run to h = 11 writes no run.
+_RUN = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,17 +105,17 @@ def _level_path(out_dir: Path, h: int) -> Path:
     return out_dir / f"benzenoids_h{h}.txt"
 
 
-def _check_level(out_dir: Path, h: int, codes: list[str] | None = None) -> None:
+def _check_level(out_dir: Path, h: int, made=None, size: int = 0) -> None:
     """Raise ResumeError unless the stored level h reads whole, one line for
     each shape its report counts (level 1 has no report), and, given
-    ``codes``, is what the run made: ``codes``, sorted, one a line.  The
-    file is read a line at a time, never held whole."""
+    ``made``, is what the run made: the ``size`` lines ``made`` yields.
+    Both are read a line at a time, never held whole."""
     path = _level_path(out_dir, h)
-    lines, wrong = 0, None
+    lines, wrong, mine = 0, None, iter(made or ())
     try:
         with path.open(encoding="ascii", newline="\n") as fh:
             for lines, line in enumerate(fh, 1):
-                if wrong is None and lines <= len(codes or ()) and line != codes[lines - 1] + "\n":
+                if wrong is None and line != next(mine, line):
                     wrong = lines, line.rstrip("\n")
     except (OSError, ValueError) as exc:
         raise ResumeError(f"cannot resume: cannot read level file {path}: {exc}") from None
@@ -120,8 +131,8 @@ def _check_level(out_dir: Path, h: int, codes: list[str] | None = None) -> None:
             f"cannot resume: line {wrong[0]} of {path}, {wrong[1]!r}, is not the next "
             f"canonical code of a {h}-hexagon shape"
         )
-    if codes is not None and lines != len(codes):
-        raise ResumeError(f"cannot resume: level file {path} has {lines} lines, the run makes {len(codes)}")
+    if made is not None and lines != size:
+        raise ResumeError(f"cannot resume: level file {path} has {lines} lines, the run makes {size}")
 
 
 def _benzene(h_max: int) -> list[bytes]:
@@ -165,39 +176,79 @@ def _write(path: Path, chunks) -> None:
 
 def _fold(keys: list[bytes]):
     """Fold some shapes of one level: (deficit Counter, (deficit, code) at
-    its maximum, codes)."""
+    its maximum, codes, no runs)."""
     codes = list(map(kernel.trace_code, keys))
     # One byte per shape: a deficit is below the code's length, 4h + 2 at most.
     deficits = bytes(map(kernel.code_deficit, codes))
     best = max(deficits, default=None)
     extremal = [(d, code) for code, d in zip(codes, deficits) if d == best]
-    return Counter(deficits), extremal, codes
+    return Counter(deficits), extremal, codes, []
 
 
-def _add(total, fold) -> None:
+def _lines(codes: list[str], runs):
+    """Yield the lines of ``codes``, sorted in place, merged with those of
+    ``runs``, each (file, offset, lines) of sorted lines.  Codes are
+    distinct, and "\n" sorts below every digit, so lines merge in code order."""
+    codes.sort()
+    with contextlib.ExitStack() as stack:
+        parts = [(code + "\n" for code in codes)]
+        for path, offset, lines in runs:
+            fh = stack.enter_context(open(path, encoding="ascii", newline="\n"))
+            fh.seek(offset)
+            parts.append(itertools.islice(fh, lines))
+        yield from heapq.merge(*parts)
+
+
+def _spill(totals, runs_dir: Path) -> None:
+    """Sort the code buffers of ``totals`` into one new file in ``runs_dir``,
+    a run for each level, and empty them: few files, as each costs a create."""
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.NamedTemporaryFile("w", encoding="ascii", dir=runs_dir, delete=False) as fh:
+        for _, _, codes, runs in totals:
+            if codes:
+                runs.append((fh.name, fh.tell(), len(codes)))
+                codes.sort()
+                fh.writelines(code + "\n" for code in codes)
+                codes.clear()
+
+
+def _add(total, fold, runs_dir: Path | None = None) -> None:
     """Add a fold of some shapes of one level into the level's running total,
-    (deficit Counter, extremal list, code list or None to keep no codes)."""
-    distribution, extremal, codes = total
+    (deficit Counter, extremal list, code buffer or None to keep no codes,
+    runs); a buffer of _RUN codes or more spills to ``runs_dir``."""
+    distribution, extremal, codes, runs = total
     distribution.update(fold[0])
     best = max(distribution, default=None)
     extremal[:] = [e for e in extremal + fold[1] if e[0] == best]
     if codes is not None:
-        codes.extend(fold[2])
+        codes += fold[2]
+        runs += fold[3]
+        if len(codes) >= _RUN:
+            _spill([total], runs_dir)
 
 
-def _descend(parents: list[bytes], totals: list) -> list:
+def _descend(parents: list[bytes], totals: list, runs_dir: Path | None = None) -> list:
     """Add the fold of ``parents`` into totals[0], and of the shapes d levels
     below them into totals[d]."""
     for d, keys in _walk(parents, len(totals) - 1):
-        _add(totals[d], _fold(keys))
+        _add(totals[d], _fold(keys), runs_dir)
     return totals
 
 
-def _level_report(h: int, distribution, extremal, codes, out_dir=None, stored=0) -> EnumerationReport:
-    """Report the fold of all of level h; with ``out_dir``, sort ``codes``,
-    check them against the stored level when h <= ``stored``, then write
-    from h = 2 its report and extremal codes, and last its code file
-    unless that was checked."""
+def _slice(roots: list[bytes], totals: list, runs_dir: Path | None) -> list:
+    """A pool task: _descend from ``roots``, then spill every code left, so
+    that only counts, extremal codes and runs go back to the parent."""
+    _descend(roots, totals, runs_dir)
+    if runs_dir is not None:
+        _spill(totals, runs_dir)
+    return totals
+
+
+def _level_report(h: int, distribution, extremal, codes, runs, out_dir=None, stored=0) -> EnumerationReport:
+    """Report the fold of all of level h; with ``out_dir``, merge ``codes``
+    and ``runs`` into its lines, check them against the stored level when
+    h <= ``stored``, then write from h = 2 its report and extremal codes,
+    and last its code file unless that was checked."""
     best = max(distribution)
     breakdown = Counter(_code_condensation(code, h).value for _, code in extremal)
     rep = EnumerationReport(
@@ -210,15 +261,14 @@ def _level_report(h: int, distribution, extremal, codes, out_dir=None, stored=0)
         extremal_breakdown=dict(sorted(breakdown.items())),
     )
     if out_dir is not None:
-        codes.sort()
         if h <= stored:
-            _check_level(out_dir, h, codes)
+            _check_level(out_dir, h, _lines(codes, runs), rep.count)
         out_dir.mkdir(parents=True, exist_ok=True)
         if h >= 2:
             _write(out_dir / f"report_h{h}.json", [rep.to_json()])
             _write(out_dir / f"extremal_h{h}.txt", (code + "\n" for code in rep.extremal_codes))
         if h > stored:  # a checked level file already holds these bytes
-            _write(_level_path(out_dir, h), (code + "\n" for code in codes))
+            _write(_level_path(out_dir, h), _lines(codes, runs))
     return rep
 
 
@@ -240,12 +290,15 @@ def run_search(
     level, its report and its extremal codes to ``out_dir``.
 
     Written files are sorted and the whole output is byte-deterministic:
-    it depends only on h, never on the worker count.  A level's code file
-    is written last, so it marks a finished level.  With ``resume``,
-    which needs ``out_dir``, every level is still grown, and each level
-    up to the top stored one is checked against its files: its line count
-    against its report before the walk, its lines before any file of it
-    is written.  A level file that is missing, unreadable, miscounted or
+    it depends only on h, never on the worker count.  Each level file is
+    the merge of sorted runs of about _RUN codes, which the processes that
+    fold them write to ``out_dir/.runs``, a pool worker also at the end
+    of each slice; that directory goes when the run ends, and a stale one
+    before it starts.  A level's code file is written last, so it marks a
+    finished level.  With ``resume``, which needs ``out_dir``, every level
+    is still grown, and each level up to the top stored one is checked
+    against its files: its line count against its report before the walk,
+    its lines before any file of it is written.  A level file that is missing, unreadable, miscounted or
     not what the run made raises ResumeError.  The returned reports
     always cover every level from 2 to ``h_max``.
     """
@@ -259,27 +312,35 @@ def run_search(
     benzene = _benzene(h_max)
     out_dir = Path(out_dir) if out_dir is not None else None
     keep = out_dir is not None
+    runs_dir = out_dir / ".runs" if keep else None
     stored = next((h for h in range(h_max if resume else 0, 0, -1) if _level_path(out_dir, h).is_file()), 0)
     for h in range(1, stored + 1):  # a miscounted level is refused before the walk
         _check_level(out_dir, h)
-    totals = [(Counter(), [], [] if keep else None) for _ in range(h_max)]
-    if workers == 1 or h_max <= _ROOT_H:
-        _descend(benzene, totals)
-    else:  # levels 1 to _ROOT_H - 1 are folded here; each slice of roots walks from empty totals
-        import multiprocessing
-        roots, below = [], totals[_ROOT_H - 1:]
-        for d, keys in _walk(benzene, _ROOT_H - 1):
-            if d < _ROOT_H - 1:
-                _add(totals[d], _fold(keys))
-            else:
-                roots += keys
-        descend = partial(_descend, totals=[(Counter(), [], [] if keep else None) for _ in below])
-        slices = [roots[i::8 * workers] for i in range(8 * workers)]
-        with multiprocessing.Pool(workers) as pool:
-            for folds in pool.imap_unordered(descend, slices):
-                for total, fold in zip(below, folds):
-                    _add(total, fold)
-    reports = [_level_report(h, *total, out_dir, stored) for h, total in enumerate(totals, 1)]
+    totals = [(Counter(), [], [] if keep else None, []) for _ in range(h_max)]
+    if keep and runs_dir.exists():  # a killed run left it
+        shutil.rmtree(runs_dir)
+    try:
+        if workers == 1 or h_max <= _ROOT_H:
+            _descend(benzene, totals, runs_dir)
+        else:  # levels 1 to _ROOT_H - 1 are folded here; each slice of roots walks from empty totals
+            import multiprocessing
+            roots, below = [], totals[_ROOT_H - 1:]
+            for d, keys in _walk(benzene, _ROOT_H - 1):
+                if d < _ROOT_H - 1:
+                    _add(totals[d], _fold(keys), runs_dir)
+                else:
+                    roots += keys
+            empty = [(Counter(), [], [] if keep else None, []) for _ in below]
+            task = partial(_slice, totals=empty, runs_dir=runs_dir)
+            slices = [roots[i::8 * workers] for i in range(8 * workers)]
+            with multiprocessing.Pool(workers) as pool:
+                for folds in pool.imap_unordered(task, slices):
+                    for total, fold in zip(below, folds):
+                        _add(total, fold, runs_dir)
+        reports = [_level_report(h, *total, out_dir, stored) for h, total in enumerate(totals, 1)]
+    finally:
+        if keep and runs_dir.exists():
+            shutil.rmtree(runs_dir)
     return reports[1:]  # level 1, benzene alone, has no report
 
 

@@ -616,6 +616,18 @@ def test_exit_codes(tmp_path, argv, status):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["render", "55", "--json"], "render"), (["enumerate", "--hexagons", "3", "--bogus"], "enumerate")],
+)
+def test_an_unknown_flag_after_a_command_shows_the_command_usage(argv, command):
+    code, out, err = run_cli(*argv)
+    lines = err.splitlines()
+    assert (code, out) == (3, "")
+    assert lines[0].startswith(f"usage: bechex {command} [-h] "), lines[0]
+    assert lines[-1] == f"bechex {command}: error: unrecognized arguments: {argv[-1]}"
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -10,8 +10,9 @@ pure-Python kernel against each other.
 
 import json
 import os
+import sys
 from collections import Counter
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -252,16 +253,16 @@ class TestGrowth:
         levels = dict(breadth_first(10))
         roots = levels[enumeration._ROOT_H]
         assert len(roots) == EXPECTED_COUNTS[7]
-        totals = [(Counter(), [], []) for _ in range(4)]
+        totals = [(Counter(), [], [], []) for _ in range(4)]
         for i in range(slices):
-            part = _descend(roots[i::slices], [(Counter(), [], []) for _ in range(4)])
+            part = _descend(roots[i::slices], [(Counter(), [], [], []) for _ in range(4)])
             for total, fold in zip(totals, part):
                 _add(total, fold)
-        for h, (distribution, extremal, codes) in zip(range(7, 11), totals):
+        for h, (distribution, extremal, codes, runs) in zip(range(7, 11), totals):
             whole = _fold(levels[h])
             assert distribution == whole[0], h
             assert sorted(extremal) == sorted(whole[1]) and len(extremal) == EXPECTED_EX[h]
-            assert sorted(codes) == sorted(whole[2]), h
+            assert sorted(codes) == sorted(whole[2]) and runs == [], h
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +297,114 @@ def test_h14_exhaustive():
     assert (rep.h, rep.count, rep.mcd, rep.ex) == (14, 15_367_577, 21, 2)
     assert rep.extremal_codes == H14_EXTREMAL
     assert rep.distribution[0] == len(convex_shapes(14)[14]) == 5
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(_kernel.BACKEND == "python", reason="the pure kernel is about 60 times slower")
+def test_h13_out_stays_small(tmp_path):
+    """Opt in with ``-m slow``: ``enumerate --hexagons 13 --out`` with two
+    workers peaks under 100 MB, read from the child's own wait4; holding
+    every level's codes, it took about 400 MB."""
+    argv = [sys.executable, "-m", "bechex.cli", "enumerate", "--hexagons", "13", "--out", str(tmp_path)]
+    argv += ["--threads", str(min(2, os.cpu_count() or 1))]
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss < 100 * 1024, f"{usage.ru_maxrss / 1024:.0f} MB"
+    assert len((tmp_path / "benzenoids_h13.txt").read_text().split()) == 3_198_256
+
+
+@pytest.fixture
+def small_runs(monkeypatch):
+    """A run for every chunk of 7 parents' children, so that every level
+    from 3 up spills runs, in the parent and in each worker."""
+    monkeypatch.setattr(enumeration, "_CHUNK", 7)
+    monkeypatch.setattr(enumeration, "_RUN", 3)
+
+
+def _refusal(monkeypatch, h, out_dir, workers=1):
+    """The ResumeError message of a resume to h over ``out_dir``, which
+    must be the same with small runs; a refusal changes no stored byte,
+    so both resumes read the same files.  No .runs is left."""
+    messages = []
+    for size in (enumeration._RUN, 3):
+        with monkeypatch.context() as patch, pytest.raises(ResumeError) as refused:
+            patch.setattr(enumeration, "_RUN", size)
+            run_search(h, workers=workers, out_dir=out_dir, resume=True)
+        messages.append(str(refused.value))
+        assert not (out_dir / ".runs").exists()
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+class TestRuns:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_runs_write_the_same_files(
+        self, tmp_path, fresh_h9, small_runs, monkeypatch, workers, two_cores
+    ):
+        fresh, reports = fresh_h9
+        spill = enumeration._spill
+        log = tmp_path / "spills"
+
+        def record(totals, runs_dir):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            spill(totals, runs_dir)
+
+        monkeypatch.setattr(enumeration, "_spill", record)
+        out = tmp_path / "out"
+        assert [r.to_dict() for r in run_search(9, workers=workers, out_dir=out)] == reports
+        _same_files(fresh, out)
+        spillers = Counter(log.read_text().split())
+        assert spillers.pop(str(os.getpid())) >= 4  # levels 3 to 6 at least
+        assert bool(spillers) == (workers > 1) and all(n >= 10 for n in spillers.values())
+
+    def test_a_slice_hands_back_runs_not_codes(self, tmp_path, breadth_first):
+        roots = dict(breadth_first(7))[7][::5]
+        totals = enumeration._slice(roots, [(Counter(), [], [], []) for _ in range(3)], tmp_path)
+        whole = _descend(roots, [(Counter(), [], [], []) for _ in range(3)])
+        for (_, _, codes, runs), (_, _, every, _) in zip(totals, whole):
+            assert codes == [] and len(runs) == 1
+            assert list(enumeration._lines([], runs)) == [code + "\n" for code in sorted(every)]
+        assert len({runs[0][0] for _, _, _, runs in totals}) == 1  # one file for the slice
+
+    def test_a_run_below_a_buffer_writes_no_run(self, tmp_path, monkeypatch):
+        def refuse(totals, runs_dir):
+            raise AssertionError("a run file was written")
+
+        monkeypatch.setattr(enumeration, "_spill", refuse)
+        run_search(8, out_dir=tmp_path)
+        assert not (tmp_path / ".runs").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_runs_are_left(self, tmp_path, fresh_h9, small_runs, monkeypatch, workers, two_cores):
+        out = tmp_path / "out"
+        run_search(8, workers=workers, out_dir=out)
+        assert not (out / ".runs").exists()
+        stale = out / ".runs" / "tmpkilled"  # a run a killed run left
+        stale.parent.mkdir()
+        stale.write_text("4343\n")
+        grow = enumeration.kernel.grow
+
+        def after_the_stale_run(parents):
+            assert not stale.exists()
+            return grow(parents)
+
+        monkeypatch.setattr(enumeration.kernel, "grow", after_the_stale_run)
+        run_search(9, workers=workers, out_dir=out, resume=True)
+        assert not stale.parent.exists()
+        _same_files(fresh_h9[0], out)
+        calls = count(1)
+
+        def cut(parents):
+            if next(calls) == 12:
+                raise RuntimeError(f"cut, runs written: {(tmp_path / 'cut' / '.runs').is_dir()}")
+            return grow(parents)
+
+        monkeypatch.setattr(enumeration.kernel, "grow", cut)
+        with pytest.raises(RuntimeError, match="cut, runs written: True"):
+            run_search(9, workers=workers, out_dir=tmp_path / "cut")
+        assert not (tmp_path / "cut" / ".runs").exists()
 
 
 class TestPersistence:
@@ -396,7 +505,7 @@ class TestPersistence:
             "last-gone-count-edited",
         ],
     )
-    def test_resume_refuses_a_damaged_level(self, tmp_path, lines, count):
+    def test_resume_refuses_a_damaged_level(self, tmp_path, monkeypatch, lines, count):
         run_search(4, out_dir=tmp_path)
         level = tmp_path / "benzenoids_h4.txt"
         assert level.read_text().split() == LEVEL_4
@@ -404,28 +513,25 @@ class TestPersistence:
         if count is not None:
             report_path = tmp_path / "report_h4.json"
             report_path.write_text(json.dumps({**json.loads(report_path.read_text()), "count": count}))
-        with pytest.raises(ResumeError, match="benzenoids_h4.txt"):
-            run_search(5, out_dir=tmp_path, resume=True)
+        assert "benzenoids_h4.txt" in _refusal(monkeypatch, 5, tmp_path)
         assert not (tmp_path / "benzenoids_h5.txt").exists()
 
-    def test_resume_refuses_a_miscounted_level_before_the_walk(self, tmp_path, request):
+    def test_resume_refuses_a_miscounted_level_before_the_walk(self, tmp_path, monkeypatch, request):
         run_search(4, out_dir=tmp_path)
         level = tmp_path / "benzenoids_h3.txt"
         level.write_text(level.read_text().splitlines(keepends=True)[0])
         request.getfixturevalue("no_growth")
-        with pytest.raises(ResumeError, match="benzenoids_h3.txt has 1 lines, its report counts 3"):
-            run_search(5, out_dir=tmp_path, resume=True)
+        assert "benzenoids_h3.txt has 1 lines, its report counts 3" in _refusal(monkeypatch, 5, tmp_path)
 
     # Level 8 is above the root level, so its check comes after the walk.
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_refuses_a_damaged_level_above_the_root(self, tmp_path, workers, two_cores):
+    def test_resume_refuses_a_damaged_level_above_the_root(self, tmp_path, monkeypatch, workers, two_cores):
         run_search(8, out_dir=tmp_path)
         level = tmp_path / "benzenoids_h8.txt"
         lines = level.read_text().splitlines()
         lines[700] = lines[701]
         level.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(ResumeError, match="benzenoids_h8.txt"):
-            run_search(9, workers=workers, out_dir=tmp_path, resume=True)
+        assert "benzenoids_h8.txt" in _refusal(monkeypatch, 9, tmp_path, workers)
         assert not (tmp_path / "benzenoids_h9.txt").exists()
 
     @pytest.mark.parametrize(
@@ -437,14 +543,13 @@ class TestPersistence:
             ("benzenoids_h1.txt", "55\n"),
         ],
     )
-    def test_resume_refuses_a_missing_report_or_a_wrong_level_1(self, tmp_path, name, text):
+    def test_resume_refuses_a_missing_report_or_a_wrong_level_1(self, tmp_path, monkeypatch, name, text):
         run_search(4, out_dir=tmp_path)
         if text is None:
             (tmp_path / name).unlink()
         else:
             (tmp_path / name).write_text(text)
-        with pytest.raises(ResumeError, match=name):
-            run_search(4, out_dir=tmp_path, resume=True)
+        assert name in _refusal(monkeypatch, 4, tmp_path)
 
 
 class TestUnbranchedFusenes:
