@@ -7,6 +7,13 @@
  * arrive as byte-packed keys (see bechex._kernel.common), codes as str.
  * The size limits are read from bechex._kernel.common at import, and a
  * key or code above them raises bechex.errors.ResourceLimit.
+ *
+ * The batch entries, grow and fold, release the GIL around their C work,
+ * so the threads of `bechex enumerate --threads` run them in parallel.
+ * Each holds its keys in a tuple and reads off their bytes with the GIL
+ * held, then, without it, writes into C buffers and notes the first
+ * refusal as a fault; once the GIL is back, it raises that or builds its
+ * result.  The routines the loops call touch no Python object.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -22,6 +29,68 @@
 
 static long max_cells, max_grid, max_perimeter;
 static PyObject *ResourceLimit;
+#define EDGES "a code of %ld edges exceeds the limit of %ld"
+
+/* A refusal noted without the GIL and raised with it: the exception type,
+ * and its message as a format with the numbers it names. */
+typedef struct {
+    PyObject **type; /* NULL while there is none */
+    const char *format;
+    long a, b, c;
+} fault;
+
+/* Note the first refusal of a call in *f. */
+static void
+note(fault *f, PyObject **type, const char *format, long a, long b, long c)
+{
+    if (f->type == NULL) {
+        fault first = {type, format, a, b, c};
+        *f = first;
+    }
+}
+
+static PyObject *
+raise_fault(const fault *f)
+{
+    if (*f->type == PyExc_MemoryError)
+        return PyErr_NoMemory();
+    return PyErr_Format(*f->type, f->format, f->a, f->b, f->c);
+}
+
+#define NO_MEMORY(f) note(f, &PyExc_MemoryError, "", 0, 0, 0)
+
+/* Bytes that grow as they are written, without the GIL. */
+typedef struct {
+    char *data;
+    size_t size, cap;
+} buffer;
+
+/* Room for more bytes at the end of b, or NULL when memory runs out. */
+static char *
+reserve(buffer *b, size_t more)
+{
+    if (b->size + more > b->cap) {
+        size_t cap = b->size + more > 2 * b->cap ? b->size + more + 4096 : 2 * b->cap;
+        char *data = PyMem_RawRealloc(b->data, cap);
+        if (data == NULL)
+            return NULL;
+        b->data = data;
+        b->cap = cap;
+    }
+    return b->data + b->size;
+}
+
+/* Append to ends the end of text, where the last item written ends. */
+static int
+end_item(buffer *ends, const buffer *text)
+{
+    size_t *end = (size_t *)reserve(ends, sizeof(size_t));
+    if (end == NULL)
+        return -1;
+    *end = text->size;
+    ends->size += sizeof(size_t);
+    return 0;
+}
 
 /* Neighbour offsets of a cell, CCW.  They are also the unit steps of the
  * vertex lattice, and while tracing, N[k] is the offset of the hexagon
@@ -47,10 +116,9 @@ static const int MAT[12][4] = {
  * attaining is not NULL, set bit t of *attaining for each row t of MAT
  * that reaches that form.  A sorted list starts with its least cell, so
  * only the transforms whose least cell ties the least of all are sorted.
- * Returns -1 with ValueError set when the form does not fit the key's
- * bytes. */
+ * Returns -1 with *f noted when the form does not fit the key's bytes. */
 static int
-canon(const int *q, const int *r, int n, unsigned char *out, int *attaining)
+canon(const int *q, const int *r, int n, unsigned char *out, int *attaining, fault *f)
 {
     int enc[12][CAP_CELLS], tq[CAP_CELLS], tr[CAP_CELLS], low[12], least = INT_MAX;
     for (int t = 0; t < 12; t++) {
@@ -101,7 +169,7 @@ canon(const int *q, const int *r, int n, unsigned char *out, int *attaining)
     for (int i = 0; i < n; i++) {
         int cq = enc[best][i] >> 16, cr = enc[best][i] & 0xFFFF;
         if (cq > 255 || cr > 255) {
-            PyErr_SetString(PyExc_ValueError, "cell coordinates exceed the packed-key range");
+            note(f, &PyExc_ValueError, "cell coordinates exceed the packed-key range", 0, 0, 0);
             return -1;
         }
         out[2 * i] = (unsigned char)cq;
@@ -116,35 +184,38 @@ static PyObject *
 key_from_cells(const int *q, const int *r, int n)
 {
     unsigned char buf[2 * CAP_CELLS];
-    if (canon(q, r, n, buf, NULL) < 0)
-        return NULL;
+    fault f = {NULL};
+    if (canon(q, r, n, buf, NULL, &f) < 0)
+        return raise_fault(&f);
     return PyBytes_FromStringAndSize((const char *)buf, 2 * n);
 }
 
-/* Read a packed key into q and r and return its cell count.  The
- * occupancy grid of the shape is its bounding box from (0, 0) plus a
- * one-cell margin: *width columns of *height slots, cell (q, r) at slot
- * (q + 1) * height + r + 1.  Returns -1 with an exception set for a key
- * that is not bytes, is malformed or is above the size limits. */
-static int
-decode(PyObject *key, int *q, int *r, int *width, int *height)
+static PyObject *
+not_a_key(PyObject *key)
 {
-    if (!PyBytes_Check(key)) {
-        PyErr_Format(PyExc_TypeError, "a cell key must be bytes, not %.100s", Py_TYPE(key)->tp_name);
-        return -1;
-    }
-    Py_ssize_t length = PyBytes_GET_SIZE(key);
+    return PyErr_Format(PyExc_TypeError, "a cell key must be bytes, not %.100s",
+                        Py_TYPE(key)->tp_name);
+}
+
+/* Read the packed key of length bytes at src into q and r and return its
+ * cell count.  The occupancy grid of the shape is its bounding box from
+ * (0, 0) plus a one-cell margin: *width columns of *height slots, cell
+ * (q, r) at slot (q + 1) * height + r + 1.  Returns -1 with *f noted for
+ * a key that is malformed or above the size limits. */
+static int
+decode(const unsigned char *src, Py_ssize_t length, int *q, int *r, int *width, int *height,
+       fault *f)
+{
     if (length == 0 || length % 2) {
-        PyErr_SetString(PyExc_ValueError, "malformed cell key");
+        note(f, &PyExc_ValueError, "malformed cell key", 0, 0, 0);
         return -1;
     }
     if (length / 2 > max_cells) {
-        PyErr_Format(ResourceLimit, "a key of %zd cells exceeds the limit of %ld",
-                     length / 2, max_cells);
+        note(f, &ResourceLimit, "a key of %ld cells exceeds the limit of %ld",
+             (long)(length / 2), max_cells, 0);
         return -1;
     }
     int n = (int)(length / 2), maxq = 0, maxr = 0;
-    const unsigned char *src = (const unsigned char *)PyBytes_AS_STRING(key);
     for (int i = 0; i < n; i++) {
         q[i] = src[2 * i];
         r[i] = src[2 * i + 1];
@@ -156,8 +227,8 @@ decode(PyObject *key, int *q, int *r, int *width, int *height)
     *width = maxq + 3;
     *height = maxr + 3;
     if (*width * *height > max_grid) {
-        PyErr_Format(ResourceLimit, "a key's grid of %d x %d slots exceeds the limit of %ld",
-                     *width, *height, max_grid);
+        note(f, &ResourceLimit, "a key's grid of %ld x %ld slots exceeds the limit of %ld",
+             *width, *height, max_grid);
         return -1;
     }
     return n;
@@ -187,11 +258,10 @@ one_arc(int ring)
  * T is the set of removable cells of the least rank, (degree, sum of the
  * occupied neighbours' degrees).  Returns 1 and writes the child's key
  * into out when c is in T and some transform reaching the key maps c
- * onto the greatest (q, r) of T's image; 0 when not; -1 with an
- * exception set. */
+ * onto the greatest (q, r) of T's image; 0 when not; -1 with *f noted. */
 static int
 canonical_child(const int *q, const int *r, int n, int ring_c, const unsigned char *occ,
-                int height, unsigned char *out)
+                int height, unsigned char *out, fault *f)
 {
     unsigned char degree[CAP_GRID];
     int slot[CAP_CELLS], ring[CAP_CELLS], rank[CAP_CELLS], step[6];
@@ -229,7 +299,7 @@ canonical_child(const int *q, const int *r, int n, int ring_c, const unsigned ch
         }
     }
     int attaining;
-    if (canon(q, r, n, out, &attaining) < 0)
+    if (canon(q, r, n, out, &attaining, f) < 0)
         return -1;
     for (int t = 0; t < 12; t++) {
         if (!(attaining >> t & 1))
@@ -246,20 +316,21 @@ canonical_child(const int *q, const int *r, int n, int ring_c, const unsigned ch
     return 0;
 }
 
-/* Append to out the canonical key of every hole-free one-cell extension
- * of key whose canonical parent is key, once each: a free neighbour whose
- * occupied neighbours form one arc, kept by canonical_child.  Distinct
- * parents never share a child, so only this parent's keys, from index
- * first on, are checked for repeats. */
+/* Append to children the canonical key of every hole-free one-cell
+ * extension of the packed key at src whose canonical parent it is, once
+ * each, and to ends where each ends: a free neighbour whose occupied
+ * neighbours form one arc, kept by canonical_child.  Distinct parents
+ * never share a child, so only this parent's keys are checked for
+ * repeats.  Returns -1 with *f noted. */
 static int
-grow_one(PyObject *key, PyObject *out)
+grow_one(const unsigned char *src, Py_ssize_t length, buffer *children, buffer *ends, fault *f)
 {
     int q[CAP_CELLS], r[CAP_CELLS], width, height;
     unsigned char occ[CAP_GRID], buf[2 * CAP_CELLS];
-    int n = decode(key, q, r, &width, &height);
+    int n = decode(src, length, q, r, &width, &height, f);
     if (n < 0)
         return -1;
-    Py_ssize_t first = PyList_GET_SIZE(out);
+    size_t first = children->size, size = 2 * (size_t)(n + 1);
     memset(occ, 0, width * height);
     for (int i = 0; i < n; i++)
         occ[(q[i] + 1) * height + r[i] + 1] = 1;
@@ -278,64 +349,124 @@ grow_one(PyObject *key, PyObject *out)
             q[n] = nq;
             r[n] = nr;
             occ[slot] = 1;
-            int rc = canonical_child(q, r, n + 1, ring, occ, height, buf);
+            int rc = canonical_child(q, r, n + 1, ring, occ, height, buf, f);
             occ[slot] = 2;
             if (rc < 0)
                 return -1;
-            for (Py_ssize_t j = first; rc && j < PyList_GET_SIZE(out); j++)
-                rc = memcmp(PyBytes_AS_STRING(PyList_GET_ITEM(out, j)), buf, 2 * (n + 1)) != 0;
+            for (size_t at = first; rc && at < children->size; at += size)
+                rc = memcmp(children->data + at, buf, size) != 0;
             if (!rc)
                 continue;
-            PyObject *child = PyBytes_FromStringAndSize((const char *)buf, 2 * (n + 1));
-            if (child == NULL)
+            char *room = reserve(children, size);
+            if (room == NULL) {
+                NO_MEMORY(f);
                 return -1;
-            rc = PyList_Append(out, child);
-            Py_DECREF(child);
-            if (rc < 0)
+            }
+            memcpy(room, buf, size);
+            children->size += size;
+            if (end_item(ends, children) < 0) {
+                NO_MEMORY(f);
                 return -1;
+            }
         }
     }
     return 0;
 }
 
+/* A key's bytes, read off it while the GIL is held. */
+typedef struct {
+    const unsigned char *data;
+    Py_ssize_t length;
+} span;
+
+/* The keys of a batch entry as a tuple, which holds them while the GIL
+ * is released; in *spans the bytes of each, up to *stop, the index of
+ * the first that is not bytes, their count when all are.  Returns NULL
+ * with an exception set. */
 static PyObject *
-grow(PyObject *Py_UNUSED(module), PyObject *parents)
+batch(PyObject *keys, span **spans, Py_ssize_t *stop)
 {
-    PyObject *out = PyList_New(0), *it = NULL, *key;
-    if (out == NULL)
+    PyObject *tuple = PySequence_Tuple(keys), *key;
+    if (tuple == NULL)
         return NULL;
-    it = PyObject_GetIter(parents);
-    if (it == NULL)
-        goto fail;
-    while ((key = PyIter_Next(it)) != NULL) {
-        int rc = grow_one(key, out);
-        Py_DECREF(key);
-        if (rc < 0)
-            goto fail;
+    *spans = PyMem_New(span, PyTuple_GET_SIZE(tuple) + 1);
+    if (*spans == NULL) {
+        Py_DECREF(tuple);
+        return PyErr_NoMemory();
     }
-    if (PyErr_Occurred())
-        goto fail;
-    Py_DECREF(it);
-    return out;
-fail:
-    Py_XDECREF(it);
-    Py_DECREF(out);
-    return NULL;
+    for (*stop = 0; *stop < PyTuple_GET_SIZE(tuple); ++*stop) {
+        key = PyTuple_GET_ITEM(tuple, *stop);
+        if (!PyBytes_Check(key))
+            break;
+        (*spans)[*stop].data = (const unsigned char *)PyBytes_AS_STRING(key);
+        (*spans)[*stop].length = PyBytes_GET_SIZE(key);
+    }
+    return tuple;
+}
+
+/* The list of the items of text that ends marks, each made by make. */
+static PyObject *
+items(const buffer *text, const buffer *ends, PyObject *(*make)(const char *, Py_ssize_t))
+{
+    Py_ssize_t count = (Py_ssize_t)(ends->size / sizeof(size_t));
+    const size_t *end = (const size_t *)ends->data;
+    PyObject *list = PyList_New(count);
+    for (Py_ssize_t j = 0; list != NULL && j < count; j++) {
+        size_t at = j ? end[j - 1] : 0;
+        PyObject *item = make(text->data + at, (Py_ssize_t)(end[j] - at));
+        if (item == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, j, item);
+    }
+    return list;
 }
 
 static PyObject *
-trace_code(PyObject *Py_UNUSED(module), PyObject *key)
+grow(PyObject *Py_UNUSED(module), PyObject *parents)
+{
+    Py_ssize_t stop;
+    span *key;
+    PyObject *keys = batch(parents, &key, &stop), *out = NULL;
+    if (keys == NULL)
+        return NULL;
+    buffer children = {NULL, 0, 0}, ends = {NULL, 0, 0};
+    fault f = {NULL};
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < stop && f.type == NULL; i++)
+        grow_one(key[i].data, key[i].length, &children, &ends, &f);
+    Py_END_ALLOW_THREADS
+    if (f.type != NULL)
+        raise_fault(&f);
+    else if (stop < PyTuple_GET_SIZE(keys))
+        not_a_key(PyTuple_GET_ITEM(keys, stop));
+    else
+        out = items(&children, &ends, PyBytes_FromStringAndSize);
+    PyMem_RawFree(children.data);
+    PyMem_RawFree(ends.data);
+    PyMem_Free(key);
+    Py_DECREF(keys);
+    return out;
+}
+
+/* Write the canonical boundary code of the packed key at src into digits,
+ * CAP_PERIMETER bytes, and return its length, with the edges it walks in
+ * *edges.  Returns -1 with *f noted for a key trace_code refuses. */
+static int
+trace(const unsigned char *src, Py_ssize_t length, char *digits, long *edges, fault *f)
 {
     int q[CAP_CELLS], r[CAP_CELLS], width, height;
     unsigned char occ[CAP_GRID];
     unsigned char turns[CAP_PERIMETER];
     int sym[CAP_PERIMETER], dbl[2 * CAP_PERIMETER], best[CAP_PERIMETER];
-    char digits[CAP_PERIMETER];
-    int n = decode(key, q, r, &width, &height);
+    int n = decode(src, length, q, r, &width, &height, f);
     if (n < 0)
-        return NULL;
-    if (n == 1)
-        return PyUnicode_FromString("6");
+        return -1;
+    if (n == 1) {
+        digits[0] = '6';
+        *edges = 6;
+        return 1;
+    }
     memset(occ, 0, width * height);
     for (int i = 0; i < n; i++)
         occ[(q[i] + 1) * height + r[i] + 1] = 1;
@@ -348,8 +479,8 @@ trace_code(PyObject *Py_UNUSED(module), PyObject *key)
         }
     }
     if (j0 < 0) {
-        PyErr_SetString(PyExc_ValueError, "start cell has no boundary edge");
-        return NULL;
+        note(f, &PyExc_ValueError, "start cell has no boundary edge", 0, 0, 0);
+        return -1;
     }
     /* State (cell, k): the boundary edge walked in direction k with the
      * cell on the left.  A cell straight ahead at the edge's far vertex
@@ -371,25 +502,25 @@ trace_code(PyObject *Py_UNUSED(module), PyObject *key)
         if (cq == q[0] && cr == r[0] && k == j0)
             break;
         if (m >= CAP_PERIMETER) {
-            PyErr_SetString(PyExc_ValueError, "perimeter walk failed to terminate");
-            return NULL;
+            note(f, &PyExc_ValueError, "perimeter walk failed to terminate", 0, 0, 0);
+            return -1;
         }
     }
     /* cut the cyclic turn sequence right after a right turn, then read the
      * symbols off as run lengths ending at right turns */
-    int f = 0, ns = 0, run = 0;
-    while (f < m && turns[f] == 0)
-        f++;
-    if (f == m) {
-        PyErr_SetString(PyExc_ValueError, "start cell touches no other cell");
-        return NULL;
+    int cut = 0, ns = 0, run = 0;
+    while (cut < m && turns[cut] == 0)
+        cut++;
+    if (cut == m) {
+        note(f, &PyExc_ValueError, "start cell touches no other cell", 0, 0, 0);
+        return -1;
     }
     for (int i = 0; i < m; i++) {
         run++;
-        if (turns[(f + 1 + i) % m]) {
+        if (turns[(cut + 1 + i) % m]) {
             if (run > 5) {
-                PyErr_SetString(PyExc_ValueError, "run longer than 5: input is not a benzenoid");
-                return NULL;
+                note(f, &PyExc_ValueError, "run longer than 5: input is not a benzenoid", 0, 0, 0);
+                return -1;
             }
             sym[ns++] = run;
             run = 0;
@@ -412,7 +543,21 @@ trace_code(PyObject *Py_UNUSED(module), PyObject *key)
     }
     for (int i = 0; i < ns; i++)
         digits[i] = (char)('0' + best[i]);
-    return PyUnicode_FromStringAndSize(digits, ns);
+    *edges = m;
+    return ns;
+}
+
+static PyObject *
+trace_code(PyObject *Py_UNUSED(module), PyObject *key)
+{
+    char digits[CAP_PERIMETER];
+    long edges;
+    fault f = {NULL};
+    if (!PyBytes_Check(key))
+        return not_a_key(key);
+    const unsigned char *src = (const unsigned char *)PyBytes_AS_STRING(key);
+    int ns = trace(src, PyBytes_GET_SIZE(key), digits, &edges, &f);
+    return ns < 0 ? raise_fault(&f) : PyUnicode_FromStringAndSize(digits, ns);
 }
 
 /* Return the symbols of code as ASCII digits, *length of them.  Returns
@@ -438,11 +583,31 @@ read_code(PyObject *code, Py_ssize_t *length)
         edges += c[i] - '0';
     }
     if (edges > max_perimeter) {
-        PyErr_Format(ResourceLimit, "a code of %ld edges exceeds the limit of %ld",
-                     edges, max_perimeter);
+        PyErr_Format(ResourceLimit, EDGES, edges, max_perimeter);
         return NULL;
     }
     return c;
+}
+
+/* Convexity deficit of the n symbols at c, digits 1 to 5; -1 when
+ * undefined. */
+static long
+deficit(const char *c, Py_ssize_t n)
+{
+    for (int width = 1; width <= n; width++) {
+        long acc = 0, least;
+        for (int i = 0; i < width; i++)
+            acc += c[i] - '0';
+        least = acc;
+        for (int i = 1; i < n; i++) {
+            acc += c[(i + width - 1) % n] - c[i - 1];
+            if (acc < least)
+                least = acc;
+        }
+        if (least >= 2 * width)
+            return width - 1;
+    }
+    return -1;
 }
 
 static PyObject *
@@ -457,20 +622,60 @@ code_deficit(PyObject *Py_UNUSED(module), PyObject *code)
             PyErr_Format(PyExc_ValueError, "bad symbol in code: %R", code);
         return NULL;
     }
-    for (int width = 1; width <= n; width++) {
-        long acc = 0, least;
-        for (int i = 0; i < width; i++)
-            acc += c[i] - '0';
-        least = acc;
-        for (int i = 1; i < n; i++) {
-            acc += c[(i + width - 1) % n] - c[i - 1];
-            if (acc < least)
-                least = acc;
-        }
-        if (least >= 2 * width)
-            return PyLong_FromLong(width - 1);
+    return PyLong_FromLong(deficit(c, n));
+}
+
+/* trace_code of each key, then code_deficit of its code, a key at a time. */
+static PyObject *
+fold(PyObject *Py_UNUSED(module), PyObject *parents)
+{
+    Py_ssize_t stop;
+    span *key;
+    PyObject *keys = batch(parents, &key, &stop), *out = NULL, *codes;
+    if (keys == NULL)
+        return NULL;
+    PyObject *deficits = PyBytes_FromStringAndSize(NULL, stop);
+    if (deficits == NULL) {
+        PyMem_Free(key);
+        Py_DECREF(keys);
+        return NULL;
     }
-    return PyLong_FromLong(-1);
+    unsigned char *d = (unsigned char *)PyBytes_AS_STRING(deficits);
+    buffer text = {NULL, 0, 0}, ends = {NULL, 0, 0};
+    fault f = {NULL};
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < stop && f.type == NULL; i++) {
+        char *digits = reserve(&text, CAP_PERIMETER);
+        long edges, value = 0;
+        int ns = digits == NULL ? -1 : trace(key[i].data, key[i].length, digits, &edges, &f);
+        if (ns >= 0)
+            text.size += ns;
+        if (ns < 0 || end_item(&ends, &text) < 0)
+            NO_MEMORY(&f); /* unless trace noted why */
+        else if (ns == 1 && digits[0] == '6')
+            value = 0; /* benzene, as code_deficit("6") */
+        else if (edges > max_perimeter)
+            note(&f, &ResourceLimit, EDGES, edges, max_perimeter, 0);
+        else if ((value = deficit(digits, ns)) < 0 || value > 255)
+            /* as bytearray.append refuses it */
+            note(&f, &PyExc_ValueError, "byte must be in range(0, 256)", 0, 0, 0);
+        d[i] = (unsigned char)value;
+    }
+    Py_END_ALLOW_THREADS
+    if (f.type != NULL)
+        raise_fault(&f);
+    else if (stop < PyTuple_GET_SIZE(keys))
+        not_a_key(PyTuple_GET_ITEM(keys, stop));
+    else if ((codes = items(&text, &ends, PyUnicode_FromStringAndSize)) != NULL) {
+        out = PyTuple_Pack(2, codes, deficits);
+        Py_DECREF(codes);
+    }
+    Py_DECREF(deficits);
+    PyMem_RawFree(text.data);
+    PyMem_RawFree(ends.data);
+    PyMem_Free(key);
+    Py_DECREF(keys);
+    return out;
 }
 
 /* The cell centred at vertex (x, y): cell (q, r) is centred at
@@ -616,6 +821,10 @@ static PyMethodDef methods[] = {
      "the given hole-free shapes whose canonical parent is one of them,\n"
      "each once: a free neighbour is added when its occupied neighbours\n"
      "form one arc, and the child is kept only from its canonical parent."},
+    {"fold", fold, METH_O,
+     "fold($module, keys, /)\n--\n\n"
+     "(codes, deficits) of the keys: the list of trace_code of each, and\n"
+     "bytes of code_deficit of each code, in one call."},
     {"trace_code", trace_code, METH_O,
      "trace_code($module, key, /)\n--\n\n"
      "Canonical boundary code of a connected hole-free packed shape."},

@@ -16,7 +16,7 @@ from ..codes import Code, convexity_deficit
 from ..errors import NotClosed, ResourceLimit, SelfIntersecting
 from .common import MAX_CELLS, MAX_GRID, check_edges, check_key, pack_cells, unpack_cells
 
-__all__ = ["BACKEND", "code_deficit", "code_key", "grow", "trace_code"]
+__all__ = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "trace_code"]
 
 BACKEND = "python"
 
@@ -135,6 +135,16 @@ def code_deficit(code: str) -> int:
         raise ValueError(f"bad symbol in code: {code!r}")
     deficit = convexity_deficit(Code(symbols))
     return -1 if deficit is None else deficit
+
+
+def fold(keys) -> tuple[list, bytes]:
+    """(codes, deficits) of the keys: trace_code of each key, then
+    code_deficit of its code, a key at a time; the deficits as bytes."""
+    codes, deficits = [], bytearray()
+    for code in map(trace_code, keys):
+        codes.append(code)
+        deficits.append(code_deficit(code))
+    return codes, bytes(deficits)
 
 
 def code_key(code: str) -> bytes | None:

@@ -6,7 +6,8 @@ out-of-range options, codes of more than MAX_PERIMETER edges, files that
 cannot be read or written), 141
 (128 + SIGPIPE) when the reader of standard output closed it early.
 ``main`` alone turns an exception into an exit code.  A command imports
-the lattice, the families or the renderer only when it runs.
+the lattice, the families, the renderer or the enumeration engine only
+when it runs.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import sys
 from dataclasses import asdict
 
 from . import _kernel as kernel
-from . import enumeration
 from ._kernel.common import MAX_PERIMETER, check_edges
-from .codes import Code, _code_condensation, _code_digits, _convexity_kind, canonical
+from .codes import SCHEMA_VERSION, Code, _code_condensation, _code_digits, _convexity_kind, canonical
 from .errors import (
     BechexError,
     Disconnected,
@@ -88,7 +88,7 @@ def _parse(text: str) -> Code:
 def _emit(payload: dict, as_json: bool, lines) -> None:
     """Print ``payload`` as JSON or else ``lines``; every command but analyze writes so."""
     if as_json:
-        payload = {"schema_version": enumeration.SCHEMA_VERSION, **payload}
+        payload = {"schema_version": SCHEMA_VERSION, **payload}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -107,7 +107,7 @@ def _emit_results(results: list) -> None:
     write('{\n  "results": [')
     for i, payload in enumerate(results):
         write(("," if i else "") + "\n    {\n      " + _RESULT_ENCODER.encode(payload)[1:-1] + "\n    }")
-    write(("\n  " if results else "") + f'],\n  "schema_version": {enumeration.SCHEMA_VERSION}\n}}\n')
+    write(("\n  " if results else "") + f'],\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def _analyze_one(text: str) -> dict:
@@ -353,6 +353,7 @@ def _cmd_lookup(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
     reports = enumeration.run_search(
         args.hexagons, workers=args.threads, out_dir=args.out, resume=args.resume
     )
@@ -365,6 +366,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_unbranched_max(args) -> int:
+    from . import enumeration
     value, witnesses = enumeration.max_cd_unbranched_benzenoids(args.hexagons)
     payload = {
         "hexagons": args.hexagons,

@@ -26,6 +26,9 @@ from .errors import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
+#: Version of the JSON that the commands and the enumeration reports write.
+SCHEMA_VERSION = 1
+
 __all__ = [
     "BENZENE",
     "Code",

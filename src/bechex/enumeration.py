@@ -1,20 +1,22 @@
 """Isomorph-free enumeration of benzenoids and extremal-deficit reports.
 
-Each benzenoid with h hexagons is grown, by one free neighbour cell, from
-exactly one shape with h - 1, its canonical parent (McKay, J. Algorithms
-26, 1998); the kernel's grow adds a cell only where its occupied
-neighbours form one arc, so shapes stay hole-free and no filter, set or
-sort deduplicates a level.  Every entry point takes its levels from one
-walk of that tree from benzene, depth-first, _CHUNK parents a kernel
-call, so a level is held whole only where enumerate_benzenoids sorts it;
-with more workers, run_search deals the subtrees from _ROOT_H out in
-slices over one pool.  Shapes equal up to
-rotation, reflection and translation share one cell key.  With out_dir,
-the process that folds some codes spills them, sorted, into runs of
-about _RUN codes in scratch files; each level file is the merge of its runs.
-Files are written beside their targets, then moved, code files last.
-A resume grows every level too, and checks each stored one against it:
-its line count before the walk, its lines after.
+Each benzenoid with h hexagons is grown, by one free neighbour cell,
+from exactly one shape with h - 1, its canonical parent (McKay,
+J. Algorithms 26, 1998); the kernel's grow adds a cell only where its
+occupied neighbours form one arc, so shapes stay hole-free and no
+filter, set or sort deduplicates a level.  Every entry point takes its
+levels from one walk of that tree from benzene, depth-first, _CHUNK
+parents a kernel call, so a level is held whole only where
+enumerate_benzenoids sorts it; with more workers, run_search deals the
+subtrees from _ROOT_H out in slices to that many threads, which run in
+parallel as the compiled kernel releases the GIL inside grow and fold
+(with BECHEX_PURE they run one at a time).  Shapes equal up to rotation,
+reflection and translation share one cell key.  With out_dir, the thread
+that folds some codes spills them, sorted, into runs of about _RUN codes
+in scratch files; each level file is the merge of its runs.  Files are
+written beside their targets, then moved, code files last.  A resume
+grows every level too, and checks each stored one against it: its line
+count before the walk, its lines after.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from . import _kernel as kernel
-from .codes import Code, _code_condensation, canonical
+from .codes import SCHEMA_VERSION, Code, _code_condensation, canonical
 from .errors import ParamOutOfRange, ResourceLimit, ResumeError
 
 __all__ = [
@@ -51,19 +53,19 @@ __all__ = [
 #: about 3 s on a desk machine, every extra level costs roughly a factor of five.
 DEFAULT_MAX_H = 14
 
-SCHEMA_VERSION = 1
-
-#: Root level of the subtrees the pool walks: its 331 shapes, dealt into
-#: 8 slices a worker, keep the workers evenly busy and are few to hold.
+#: Root level of the subtrees the worker threads walk: its 331 shapes,
+#: dealt into 8 slices a thread, keep the threads evenly busy and are few
+#: to hold.
 _ROOT_H = 7
 
 #: Parents grown in one kernel call: enough to spread the cost of a call,
 #: few enough that the walk holds little at once.
 _CHUNK = 1024
 
-#: Codes of a level a process collects before it sorts them into a run:
-#: at h = 14 three levels fill theirs, about 27 MB each, so --out stays
-#: near 100 MB; a one-worker run to h = 11 writes no run.
+#: Codes of a level a process collects before it sorts them into a run,
+#: shared among its worker threads: at h = 14 three levels fill theirs,
+#: about 27 MB each, so --out stays near 100 MB; a one-worker run to
+#: h = 11 writes no run.
 _RUN = 1 << 18
 
 
@@ -177,9 +179,8 @@ def _write(path: Path, chunks) -> None:
 def _fold(keys: list[bytes]):
     """Fold some shapes of one level: (deficit Counter, (deficit, code) at
     its maximum, codes, no runs)."""
-    codes = list(map(kernel.trace_code, keys))
     # One byte per shape: a deficit is below the code's length, 4h + 2 at most.
-    deficits = bytes(map(kernel.code_deficit, codes))
+    codes, deficits = kernel.fold(keys)
     best = max(deficits, default=None)
     extremal = [(d, code) for code, d in zip(codes, deficits) if d == best]
     return Counter(deficits), extremal, codes, []
@@ -208,14 +209,21 @@ def _spill(totals, runs_dir: Path) -> None:
             if codes:
                 runs.append((fh.name, fh.tell(), len(codes)))
                 codes.sort()
-                fh.writelines(code + "\n" for code in codes)
+                for i in range(0, len(codes), 4096):  # a write of many lines holds the GIL less
+                    fh.write("\n".join(codes[i:i + 4096]) + "\n")
                 codes.clear()
 
 
-def _add(total, fold, runs_dir: Path | None = None) -> None:
+def _totals(levels: int, keep: bool) -> list:
+    """Empty running totals for ``levels`` levels; see _add."""
+    return [(Counter(), [], [] if keep else None, []) for _ in range(levels)]
+
+
+def _add(total, fold, runs_dir: Path | None = None, share: int = 1) -> None:
     """Add a fold of some shapes of one level into the level's running total,
     (deficit Counter, extremal list, code buffer or None to keep no codes,
-    runs); a buffer of _RUN codes or more spills to ``runs_dir``."""
+    runs); a buffer of _RUN codes or more, among ``share`` buffers of the
+    level that fill at once, spills to ``runs_dir``."""
     distribution, extremal, codes, runs = total
     distribution.update(fold[0])
     best = max(distribution, default=None)
@@ -223,22 +231,23 @@ def _add(total, fold, runs_dir: Path | None = None) -> None:
     if codes is not None:
         codes += fold[2]
         runs += fold[3]
-        if len(codes) >= _RUN:
+        if len(codes) * share >= _RUN:
             _spill([total], runs_dir)
 
 
-def _descend(parents: list[bytes], totals: list, runs_dir: Path | None = None) -> list:
+def _descend(parents: list[bytes], totals: list, runs_dir: Path | None = None, share: int = 1) -> list:
     """Add the fold of ``parents`` into totals[0], and of the shapes d levels
     below them into totals[d]."""
     for d, keys in _walk(parents, len(totals) - 1):
-        _add(totals[d], _fold(keys), runs_dir)
+        _add(totals[d], _fold(keys), runs_dir, share)
     return totals
 
 
-def _slice(roots: list[bytes], totals: list, runs_dir: Path | None) -> list:
-    """A pool task: _descend from ``roots``, then spill every code left, so
-    that only counts, extremal codes and runs go back to the parent."""
-    _descend(roots, totals, runs_dir)
+def _slice(roots: list[bytes], totals: list, runs_dir: Path | None, share: int = 1) -> list:
+    """A worker thread's task, one of ``share`` at once: _descend from
+    ``roots``, then spill every code left, so that only counts, extremal
+    codes and runs go back to the thread that merges them."""
+    _descend(roots, totals, runs_dir, share)
     if runs_dir is not None:
         _spill(totals, runs_dir)
     return totals
@@ -289,18 +298,21 @@ def run_search(
     """Run the enumeration up to ``h_max``, optionally persisting each
     level, its report and its extremal codes to ``out_dir``.
 
-    Written files are sorted and the whole output is byte-deterministic:
-    it depends only on h, never on the worker count.  Each level file is
-    the merge of sorted runs of about _RUN codes, which the processes that
-    fold them write to ``out_dir/.runs``, a pool worker also at the end
-    of each slice; that directory goes when the run ends, and a stale one
-    before it starts.  A level's code file is written last, so it marks a
-    finished level.  With ``resume``, which needs ``out_dir``, every level
-    is still grown, and each level up to the top stored one is checked
-    against its files: its line count against its report before the walk,
-    its lines before any file of it is written.  A level file that is missing, unreadable, miscounted or
-    not what the run made raises ResumeError.  The returned reports
-    always cover every level from 2 to ``h_max``.
+    Written files are sorted and the whole output is byte-deterministic: it
+    depends only on h, never on the worker count.  With ``workers`` > 1 that
+    many threads walk the slices of roots; the first slice to raise, or an
+    interrupt, cancels those not started, and the error is raised once the
+    running ones end.  Each level file is the merge of sorted runs of about
+    _RUN codes, which the threads that fold them write to ``out_dir/.runs``,
+    a worker also at the end of each slice; that directory goes when the run
+    ends, and a stale one before it starts.  A level's code file is written
+    last, so it marks a finished level.  With ``resume``, which needs
+    ``out_dir``, every level is still grown, and each level up to the top
+    stored one is checked against its files: its line count against its
+    report before the walk, its lines before any file of it is written.  A
+    level file that is missing, unreadable, miscounted or not what the run
+    made raises ResumeError.  The returned reports always cover every level
+    from 2 to ``h_max``.
     """
     if workers < 1:
         raise ParamOutOfRange("workers must be >= 1")
@@ -316,27 +328,46 @@ def run_search(
     stored = next((h for h in range(h_max if resume else 0, 0, -1) if _level_path(out_dir, h).is_file()), 0)
     for h in range(1, stored + 1):  # a miscounted level is refused before the walk
         _check_level(out_dir, h)
-    totals = [(Counter(), [], [] if keep else None, []) for _ in range(h_max)]
+    totals = _totals(h_max, keep)
     if keep and runs_dir.exists():  # a killed run left it
         shutil.rmtree(runs_dir)
     try:
         if workers == 1 or h_max <= _ROOT_H:
             _descend(benzene, totals, runs_dir)
-        else:  # levels 1 to _ROOT_H - 1 are folded here; each slice of roots walks from empty totals
-            import multiprocessing
+        else:  # levels 1 to _ROOT_H - 1 are folded here; each slice of roots walks from its own totals
             roots, below = [], totals[_ROOT_H - 1:]
             for d, keys in _walk(benzene, _ROOT_H - 1):
                 if d < _ROOT_H - 1:
                     _add(totals[d], _fold(keys), runs_dir)
                 else:
                     roots += keys
-            empty = [(Counter(), [], [] if keep else None, []) for _ in below]
-            task = partial(_slice, totals=empty, runs_dir=runs_dir)
-            slices = [roots[i::8 * workers] for i in range(8 * workers)]
-            with multiprocessing.Pool(workers) as pool:
-                for folds in pool.imap_unordered(task, slices):
-                    for total, fold in zip(below, folds):
-                        _add(total, fold, runs_dir)
+            slices = iter([roots[i::8 * workers] for i in range(8 * workers)])
+            folds, stop = [], []  # a slice's totals; the error that stops the rest
+
+            def work():  # take slices, each once, until none is left or one has raised
+                for part in slices:
+                    if stop:
+                        return
+                    try:
+                        folds.append(_slice(part, _totals(len(below), keep), runs_dir, workers))
+                    except BaseException as error:  # whatever it is, the main thread raises it
+                        stop.append(error)
+
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            try:
+                for thread in threads:
+                    thread.join()
+            finally:  # on an interrupt too: no slice starts, and no thread outlives .runs
+                stop.append(None)
+                for thread in threads:
+                    thread.join()
+            if stop[0] is not None:
+                raise stop[0]
+            for fold in folds:
+                for total, part in zip(below, fold):
+                    _add(total, part, runs_dir)
         reports = [_level_report(h, *total, out_dir, stored) for h, total in enumerate(totals, 1)]
     finally:
         if keep and runs_dir.exists():

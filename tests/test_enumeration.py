@@ -11,6 +11,7 @@ pure-Python kernel against each other.
 import json
 import os
 import sys
+import threading
 from collections import Counter
 from itertools import count, product
 
@@ -197,17 +198,26 @@ def _same_files(a, b):
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    """Let run_search start two workers on a one-core machine too; a pool
-    of two runs there, only more slowly."""
+    """Let run_search start two workers on a one-core machine too; two
+    threads run there, only more slowly."""
     cores = os.cpu_count() or 1
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: max(2, cores))
 
 
 class TestGrowth:
-    # h = 9 is above the root level, so two workers run the subtrees in a pool.
-    def test_worker_count_does_not_change_results(self, two_cores):
+    # h = 9 is above the root level, so the worker threads run the subtrees.
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        """Two threads, and more threads than cores switching often: no
+        slice is lost or taken twice."""
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
         one = run_search(9, workers=1)
-        assert [r.to_dict() for r in run_search(9, workers=2)] == [r.to_dict() for r in one]
+        expected, interval = [r.to_dict() for r in one], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 5):
+                assert [r.to_dict() for r in run_search(9, workers=workers)] == expected, workers
+        finally:
+            sys.setswitchinterval(interval)
         assert [r.count for r in one] == [EXPECTED_COUNTS[h] for h in range(2, 10)]
 
     def test_two_workers_write_the_same_files(self, tmp_path, two_cores):
@@ -229,7 +239,7 @@ class TestGrowth:
 
     def test_no_grow_call_takes_more_than_a_chunk(self, monkeypatch, two_cores):
         """Every entry point grows at most _CHUNK parents a kernel call; a
-        worker of the pool raises the AssertionError back to the test."""
+        worker thread raises the AssertionError back to the test."""
         sizes = []
         grow = enumeration.kernel.grow
 
@@ -344,19 +354,17 @@ class TestRuns:
     ):
         fresh, reports = fresh_h9
         spill = enumeration._spill
-        log = tmp_path / "spills"
+        spillers = Counter()
 
         def record(totals, runs_dir):
-            with log.open("a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            spillers[threading.get_ident()] += 1
             spill(totals, runs_dir)
 
         monkeypatch.setattr(enumeration, "_spill", record)
         out = tmp_path / "out"
         assert [r.to_dict() for r in run_search(9, workers=workers, out_dir=out)] == reports
         _same_files(fresh, out)
-        spillers = Counter(log.read_text().split())
-        assert spillers.pop(str(os.getpid())) >= 4  # levels 3 to 6 at least
+        assert spillers.pop(threading.get_ident()) >= 4  # levels 3 to 6 at least
         assert bool(spillers) == (workers > 1) and all(n >= 10 for n in spillers.values())
 
     def test_a_slice_hands_back_runs_not_codes(self, tmp_path, breadth_first):
@@ -367,6 +375,15 @@ class TestRuns:
             assert codes == [] and len(runs) == 1
             assert list(enumeration._lines([], runs)) == [code + "\n" for code in sorted(every)]
         assert len({runs[0][0] for _, _, _, runs in totals}) == 1  # one file for the slice
+
+    def test_a_thread_spills_at_its_share_of_a_run(self, tmp_path, monkeypatch):
+        """Two worker threads fill their buffers of a level at once, so each
+        spills at half of _RUN codes: a process holds about _RUN in all."""
+        monkeypatch.setattr(enumeration, "_RUN", 4)
+        for share, runs in ((1, 0), (2, 1)):
+            total = (Counter(), [], [], [])
+            _add(total, (Counter({1: 2}), [(1, "5351"), (1, "4343")], ["5351", "4343"], []), tmp_path, share)
+            assert len(total[3]) == runs and len(total[2]) == 2 - 2 * runs, share
 
     def test_a_run_below_a_buffer_writes_no_run(self, tmp_path, monkeypatch):
         def refuse(totals, runs_dir):
@@ -384,20 +401,35 @@ class TestRuns:
         stale = out / ".runs" / "tmpkilled"  # a run a killed run left
         stale.parent.mkdir()
         stale.write_text("4343\n")
-        grow = enumeration.kernel.grow
+        grow, deal = enumeration.kernel.grow, enumeration._slice
+        grown, slices = Counter(), []  # grow calls by thread; grow calls by slice
 
         def after_the_stale_run(parents):
             assert not stale.exists()
+            grown[threading.get_ident()] += 1
             return grow(parents)
 
+        def counted(*task):
+            before = grown[threading.get_ident()]
+            folds = deal(*task)
+            slices.append(grown[threading.get_ident()] - before)
+            return folds
+
         monkeypatch.setattr(enumeration.kernel, "grow", after_the_stale_run)
+        monkeypatch.setattr(enumeration, "_slice", counted)
         run_search(9, workers=workers, out_dir=out, resume=True)
         assert not stale.parent.exists()
         _same_files(fresh_h9[0], out)
-        calls = count(1)
+        assert len(slices) == (16 if workers > 1 else 0)
+        # With workers, the cut comes inside a slice; the slices not started are cancelled.
+        main, calls, after = threading.get_ident(), count(1), []
+        threads = threading.active_count()
 
         def cut(parents):
-            if next(calls) == 12:
+            if after:
+                after.append(parents)
+            elif (workers == 1 or threading.get_ident() != main) and next(calls) == 12:
+                after.append(parents)
                 raise RuntimeError(f"cut, runs written: {(tmp_path / 'cut' / '.runs').is_dir()}")
             return grow(parents)
 
@@ -405,6 +437,9 @@ class TestRuns:
         with pytest.raises(RuntimeError, match="cut, runs written: True"):
             run_search(9, workers=workers, out_dir=tmp_path / "cut")
         assert not (tmp_path / "cut" / ".runs").exists()
+        assert threading.active_count() == threads  # no thread is left to write into .runs
+        if workers > 1:  # the running slices end, and none starts after the raise
+            assert len(after) - 1 < workers * max(slices)
 
 
 class TestPersistence:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from functools import cache
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import chain, groupby
@@ -229,8 +230,12 @@ def _canonical_children(key):
     return sorted(children)
 
 
+FOLD_DEPTH = 10
+
+
 class TestBackendParity:
-    """Both backends on every canonical shape through h = 8."""
+    """Both backends on every canonical shape through h = 8, and the batch
+    entries against the one-key ones, alone and from two threads at once."""
 
     def test_every_entry_point_agrees(self, fast):
         level = [pack_cells(((0, 0),))]
@@ -244,6 +249,39 @@ class TestBackendParity:
             assert len(set(grown)) == len(grown), f"a repeated child from h={h}"
             assert set(grown) == _hole_free_children(level), f"grow from h={h}"
             level = sorted(grown)
+
+    def test_fold_is_trace_code_then_code_deficit(self, backend, breadth_first):
+        for h, keys in breadth_first(FOLD_DEPTH):
+            codes = list(map(backend.trace_code, keys))
+            assert backend.fold(keys) == (codes, bytes(map(backend.code_deficit, codes))), h
+        assert backend.fold([]) == ([], b"")
+
+    def test_two_threads_get_the_one_thread_results(self, fast, breadth_first):
+        """Two threads call the compiled grow and fold at once, each on all
+        the chunks of levels 7 and 8, one from each end."""
+        levels = dict(breadth_first(8))
+        chunks = [levels[h][i:i + 97] for h in (7, 8) for i in range(0, len(levels[h]), 97)]
+        alone = [(fast.grow(chunk), fast.fold(chunk)) for chunk in chunks]
+        start, results = threading.Barrier(2), {}
+
+        def run(order):
+            start.wait()
+            results[order] = [(fast.grow(chunks[i]), fast.fold(chunks[i])) for i in order]
+
+        orders = [tuple(range(len(chunks))), tuple(reversed(range(len(chunks))))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order in orders:
+            assert results[order] == [alone[i] for i in order]
 
 
 SANITIZE = "-fsanitize=address,undefined -fno-sanitize-recover=undefined"
@@ -303,9 +341,9 @@ def test_each_child_comes_from_one_parent(backend, breadth_first):
 
 
 class TestContract:
-    """Both backends expose the same four entries and the backend name."""
+    """Both backends expose the same five entries and the backend name."""
 
-    ENTRIES = ["BACKEND", "code_deficit", "code_key", "grow", "trace_code"]
+    ENTRIES = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "trace_code"]
 
     def test_backends_expose_the_same_entries(self, fast):
         assert sorted(pure.__all__) == self.ENTRIES
@@ -428,6 +466,9 @@ def test_a_key_whose_first_cell_touches_no_other_is_refused(backend, key):
 
 #: Cell (1, 1), then its six neighbours: the first cell has no free side.
 ENCLOSED_FIRST_CELL = bytes.fromhex("0101020101020002000101000200")
+#: Cells whose first free side faces a hole: the walk goes round the hole
+#: clockwise and reads 111111, a code whose deficit is undefined (-1).
+HOLE_FIRST = bytes.fromhex("0002010202010002000102010200010002000201")
 
 
 def test_a_key_whose_first_cell_has_no_free_side_is_refused(backend):
@@ -548,6 +589,28 @@ class TestLimits:
         for code in codes:
             assert _outcome(fast.code_key, code) == _outcome(pure.code_key, code), code
             assert _outcome(fast.code_deficit, code) == _outcome(pure.code_deficit, code), code
+
+    @pytest.mark.parametrize("entry", ["grow", "fold"])
+    def test_the_first_bad_key_of_a_list_raises_as_it_does_alone(self, backend, entry, breadth_first):
+        """A list whose k-th key is the first bad one raises what a call on
+        that key alone raises: the same type and message."""
+        call = getattr(backend, entry)
+        good = dict(breadth_first(5))[5]
+        bad = [
+            b"", b"\0", "0000", 55, pack_cells(_random_benzenoid(random.Random(251), MAX_CELLS + 1)),
+            pack_cells(_l_shape(int(MAX_GRID**0.5) - 2)), bytes([118, 5, 0, 1, 255, 6]),
+            ENCLOSED_FIRST_CELL, bytes([0, 0, 2, 2]), HOLE_FIRST,
+        ]
+        refused = 0
+        for key in bad:
+            alone = _outcome(call, [key])
+            if not (isinstance(alone, tuple) and isinstance(alone[0], type)):
+                continue
+            refused += 1
+            for k in (0, 1, len(good)):
+                for after in ([], [b"\0"], [55]):
+                    assert _outcome(call, good[:k] + [key] + good[k:] + after) == alone, (key, k)
+        assert refused == {"grow": 7, "fold": 10}[entry]
 
     def test_keys_above_the_limits_raise(self, backend):
         rng = random.Random(251)

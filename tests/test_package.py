@@ -42,6 +42,14 @@ def test_enumerate_loads_only_the_modules_it_runs():
     assert loaded == {"modules": sorted(modules), "fractions": False}
 
 
+def test_analyze_loads_only_the_modules_it_runs():
+    loaded = _loaded_after("import bechex.cli\nbechex.cli.main(['analyze', '5351'])")
+    kernel = ["_kernel._fast"] if _kernel.BACKEND == "c" else ["_kernel.pure", "lattice"]
+    expected = ["cli", "codes", "errors", "_kernel", "_kernel.common", *kernel]
+    modules = ["bechex", *(f"bechex.{name}" for name in expected)]
+    assert loaded == {"modules": sorted(modules), "fractions": False}
+
+
 def test_every_public_name_is_its_modules_object():
     for name in bechex.__all__:
         if name == "__version__":
