@@ -652,8 +652,6 @@ fold(PyObject *Py_UNUSED(module), PyObject *parents)
             text.size += ns;
         if (ns < 0 || end_item(&ends, &text) < 0)
             NO_MEMORY(&f); /* unless trace noted why */
-        else if (ns == 1 && digits[0] == '6')
-            value = 0; /* benzene, as code_deficit("6") */
         else if (edges > max_perimeter)
             note(&f, &ResourceLimit, EDGES, edges, max_perimeter, 0);
         else if ((value = deficit(digits, ns)) < 0 || value > 255)

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 malformed code string, 2 code that cannot be
 embedded as a benzenoid, 3 usage errors (bad arguments, unknown names,
 out-of-range options, codes of more than MAX_PERIMETER edges, files that
-cannot be read or written), 141
+cannot be read or written), 130 (128 + SIGINT) when interrupted, 141
 (128 + SIGPIPE) when the reader of standard output closed it early.
 ``main`` alone turns an exception into an exit code.  A command imports
 the lattice, the families, the renderer or the enumeration engine only
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
         kind = f"{type(exc).__name__}: " if status == _EXIT_NOT_EMBEDDABLE else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return status
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
 
 
 def run() -> None:

@@ -7,16 +7,18 @@ occupied neighbours form one arc, so shapes stay hole-free and no
 filter, set or sort deduplicates a level.  Every entry point takes its
 levels from one walk of that tree from benzene, depth-first, _CHUNK
 parents a kernel call, so a level is held whole only where
-enumerate_benzenoids sorts it; with more workers, run_search deals the
-subtrees from _ROOT_H out in slices to that many threads, which run in
-parallel as the compiled kernel releases the GIL inside grow and fold
-(with BECHEX_PURE they run one at a time).  Shapes equal up to rotation,
-reflection and translation share one cell key.  With out_dir, the thread
-that folds some codes spills them, sorted, into runs of about _RUN codes
-in scratch files; each level file is the merge of its runs.  Files are
-written beside their targets, then moved, code files last.  A resume
-grows every level too, and checks each stored one against it: its line
-count before the walk, its lines after.
+enumerate_benzenoids sorts it.  run_search deals the subtrees from
+_ROOT_H out in slices to its workers, the main thread and a thread for
+each further worker, which fold into one set of level totals under one
+lock and run in parallel as the compiled kernel releases the GIL inside
+grow and fold (with BECHEX_PURE they run one at a time).  Shapes equal
+up to rotation, reflection and translation share one cell key.  With
+out_dir, a level's one buffer of codes spills, sorted, into a run of
+_RUN codes in a scratch file, and with more than one worker each slice
+ends by spilling what the buffers hold; each level file is the merge of
+its runs.  Files are written beside their targets, then moved, code
+files last.  A resume grows every level too, and checks each stored one
+against it: its line count before the walk, its lines after.
 """
 
 from __future__ import annotations
@@ -53,19 +55,19 @@ __all__ = [
 #: about 3 s on a desk machine, every extra level costs roughly a factor of five.
 DEFAULT_MAX_H = 14
 
-#: Root level of the subtrees the worker threads walk: its 331 shapes,
-#: dealt into 8 slices a thread, keep the threads evenly busy and are few
-#: to hold.
+#: Root level of the subtrees the workers walk: its 331 shapes, dealt
+#: into 8 slices a worker, keep the workers evenly busy and are few to
+#: hold.
 _ROOT_H = 7
 
 #: Parents grown in one kernel call: enough to spread the cost of a call,
 #: few enough that the walk holds little at once.
 _CHUNK = 1024
 
-#: Codes of a level a process collects before it sorts them into a run,
-#: shared among its worker threads: at h = 14 three levels fill theirs,
-#: about 27 MB each, so --out stays near 100 MB; a one-worker run to
-#: h = 11 writes no run.
+#: Codes of a level a run collects, whichever thread folds them, before
+#: it sorts them into a run: at h = 14 three levels fill theirs, about
+#: 27 MB each, so --out stays near 100 MB; a one-worker run to h = 11
+#: writes no run.
 _RUN = 1 << 18
 
 
@@ -178,12 +180,12 @@ def _write(path: Path, chunks) -> None:
 
 def _fold(keys: list[bytes]):
     """Fold some shapes of one level: (deficit Counter, (deficit, code) at
-    its maximum, codes, no runs)."""
+    its maximum, codes)."""
     # One byte per shape: a deficit is below the code's length, 4h + 2 at most.
     codes, deficits = kernel.fold(keys)
     best = max(deficits, default=None)
     extremal = [(d, code) for code, d in zip(codes, deficits) if d == best]
-    return Counter(deficits), extremal, codes, []
+    return Counter(deficits), extremal, codes
 
 
 def _lines(codes: list[str], runs):
@@ -214,42 +216,34 @@ def _spill(totals, runs_dir: Path) -> None:
                 codes.clear()
 
 
-def _totals(levels: int, keep: bool) -> list:
-    """Empty running totals for ``levels`` levels; see _add."""
-    return [(Counter(), [], [] if keep else None, []) for _ in range(levels)]
-
-
-def _add(total, fold, runs_dir: Path | None = None, share: int = 1) -> None:
+def _add(total, fold, runs_dir: Path | None = None) -> None:
     """Add a fold of some shapes of one level into the level's running total,
     (deficit Counter, extremal list, code buffer or None to keep no codes,
-    runs); a buffer of _RUN codes or more, among ``share`` buffers of the
-    level that fill at once, spills to ``runs_dir``."""
+    runs); a buffer of _RUN codes or more spills to ``runs_dir``."""
     distribution, extremal, codes, runs = total
     distribution.update(fold[0])
     best = max(distribution, default=None)
     extremal[:] = [e for e in extremal + fold[1] if e[0] == best]
     if codes is not None:
         codes += fold[2]
-        runs += fold[3]
-        if len(codes) * share >= _RUN:
+        if len(codes) >= _RUN:
             _spill([total], runs_dir)
 
 
-def _descend(parents: list[bytes], totals: list, runs_dir: Path | None = None, share: int = 1) -> list:
+def _descend(
+    parents: list[bytes], totals: list, runs_dir: Path | None = None,
+    lock=contextlib.nullcontext(), spill: bool = False,
+) -> list:
     """Add the fold of ``parents`` into totals[0], and of the shapes d levels
-    below them into totals[d]."""
+    below them into totals[d], each under ``lock``; with ``spill``, end by
+    spilling every code the totals hold."""
     for d, keys in _walk(parents, len(totals) - 1):
-        _add(totals[d], _fold(keys), runs_dir, share)
-    return totals
-
-
-def _slice(roots: list[bytes], totals: list, runs_dir: Path | None, share: int = 1) -> list:
-    """A worker thread's task, one of ``share`` at once: _descend from
-    ``roots``, then spill every code left, so that only counts, extremal
-    codes and runs go back to the thread that merges them."""
-    _descend(roots, totals, runs_dir, share)
-    if runs_dir is not None:
-        _spill(totals, runs_dir)
+        fold = _fold(keys)  # the kernel call, outside the lock
+        with lock:
+            _add(totals[d], fold, runs_dir)
+    if spill:
+        with lock:
+            _spill(totals, runs_dir)
     return totals
 
 
@@ -299,12 +293,13 @@ def run_search(
     level, its report and its extremal codes to ``out_dir``.
 
     Written files are sorted and the whole output is byte-deterministic: it
-    depends only on h, never on the worker count.  With ``workers`` > 1 that
-    many threads walk the slices of roots; the first slice to raise, or an
+    depends only on h, never on the worker count.  The main thread and
+    ``workers`` - 1 more threads walk the slices of roots and fold each
+    level into its one total under one lock; the first slice to raise, or an
     interrupt, cancels those not started, and the error is raised once the
-    running ones end.  Each level file is the merge of sorted runs of about
-    _RUN codes, which the threads that fold them write to ``out_dir/.runs``,
-    a worker also at the end of each slice; that directory goes when the run
+    running ones end.  Each level file is the merge of the sorted runs that
+    its buffer spills to ``out_dir/.runs`` at _RUN codes and, with more than
+    one worker, at the end of each slice; that directory goes when the run
     ends, and a stale one before it starts.  A level's code file is written
     last, so it marks a finished level.  With ``resume``, which needs
     ``out_dir``, every level is still grown, and each level up to the top
@@ -328,46 +323,41 @@ def run_search(
     stored = next((h for h in range(h_max if resume else 0, 0, -1) if _level_path(out_dir, h).is_file()), 0)
     for h in range(1, stored + 1):  # a miscounted level is refused before the walk
         _check_level(out_dir, h)
-    totals = _totals(h_max, keep)
+    totals = [(Counter(), [], [] if keep else None, []) for _ in range(h_max)]
     if keep and runs_dir.exists():  # a killed run left it
         shutil.rmtree(runs_dir)
     try:
-        if workers == 1 or h_max <= _ROOT_H:
-            _descend(benzene, totals, runs_dir)
-        else:  # levels 1 to _ROOT_H - 1 are folded here; each slice of roots walks from its own totals
-            roots, below = [], totals[_ROOT_H - 1:]
-            for d, keys in _walk(benzene, _ROOT_H - 1):
-                if d < _ROOT_H - 1:
-                    _add(totals[d], _fold(keys), runs_dir)
-                else:
-                    roots += keys
-            slices = iter([roots[i::8 * workers] for i in range(8 * workers)])
-            folds, stop = [], []  # a slice's totals; the error that stops the rest
+        root, roots = min(h_max, _ROOT_H) - 1, []  # the levels above the roots are folded here
+        for d, keys in _walk(benzene, root):
+            if d < root:
+                _add(totals[d], _fold(keys), runs_dir)
+            else:
+                roots += keys
+        slices = iter([roots[i::8 * workers] for i in range(8 * workers)])
+        lock, stop = threading.Lock(), []  # the one lock of the totals; the error that stops the rest
 
-            def work():  # take slices, each once, until none is left or one has raised
-                for part in slices:
-                    if stop:
-                        return
-                    try:
-                        folds.append(_slice(part, _totals(len(below), keep), runs_dir, workers))
-                    except BaseException as error:  # whatever it is, the main thread raises it
-                        stop.append(error)
+        def work():  # take slices, each once, until none is left or one has raised
+            for part in slices:
+                if stop:
+                    return
+                try:
+                    _descend(part, totals[root:], runs_dir, lock, keep and workers > 1)
+                except BaseException as error:  # whatever it is, the main thread raises it
+                    stop.append(error)
 
-            threads = [threading.Thread(target=work) for _ in range(workers)]
+        threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for thread in threads:
+            thread.start()
+        try:
+            work()  # the main thread is a worker too
             for thread in threads:
-                thread.start()
-            try:
-                for thread in threads:
-                    thread.join()
-            finally:  # on an interrupt too: no slice starts, and no thread outlives .runs
-                stop.append(None)
-                for thread in threads:
-                    thread.join()
-            if stop[0] is not None:
-                raise stop[0]
-            for fold in folds:
-                for total, part in zip(below, fold):
-                    _add(total, part, runs_dir)
+                thread.join()
+        finally:  # on an interrupt too: no slice starts, and no thread outlives .runs
+            stop.append(None)
+            for thread in threads:
+                thread.join()
+        if stop[0] is not None:
+            raise stop[0]
         reports = [_level_report(h, *total, out_dir, stored) for h, total in enumerate(totals, 1)]
     finally:
         if keep and runs_dir.exists():

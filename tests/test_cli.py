@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -655,6 +656,22 @@ class TestConsoleScript:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in stderr
+
+    def test_an_interrupt_exits_130(self, tmp_path):
+        """SIGINT, sent once the run has written a scratch run: an error
+        line and exit 130, no traceback, and no .runs left."""
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "bechex.cli", "enumerate", "--hexagons", "12", "--out", str(out)]
+        argv += ["--threads", str(min(2, os.cpu_count() or 1))]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 300
+        while not (out / ".runs").is_dir() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        stderr = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 130, stderr
+        assert stderr.endswith("error: interrupted\n") and "Traceback" not in stderr
+        assert not (out / ".runs").exists()
 
     def test_unknown_subcommand_exits_3(self):
         proc = subprocess.run(

@@ -142,7 +142,7 @@ def test_entry_points_agree(h, breadth_first):
     the one walk; they must agree with a fold of the level grown whole."""
     rep = report(h)
     assert count_benzenoids(h) == len(list(enumerate_benzenoids(h))) == rep.count
-    assert rep.to_dict() == _level_report(h, *_fold(dict(breadth_first(h))[h])).to_dict()
+    assert rep.to_dict() == _level_report(h, *_fold(dict(breadth_first(h))[h]), []).to_dict()
 
 
 class TestReports:
@@ -206,18 +206,28 @@ def two_cores(monkeypatch):
 
 class TestGrowth:
     # h = 9 is above the root level, so the worker threads run the subtrees.
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_worker_count_does_not_change_results(self, monkeypatch, tmp_path):
         """Two threads, and more threads than cores switching often: no
-        slice is lost or taken twice."""
+        slice is lost or taken twice.  With out_dir, 7 parents a chunk and
+        a run every 3 codes, five threads spill the level buffers they share
+        all the time, and no code may be lost or written twice: h = 10, as
+        with no lock around the totals the files of h = 9 differed in only
+        about one run in ten."""
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
         one = run_search(9, workers=1)
+        stored = [r.to_dict() for r in run_search(10, workers=1, out_dir=tmp_path / "one")]
         expected, interval = [r.to_dict() for r in one], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (2, 5):
                 assert [r.to_dict() for r in run_search(9, workers=workers)] == expected, workers
+            monkeypatch.setattr(enumeration, "_CHUNK", 7)
+            monkeypatch.setattr(enumeration, "_RUN", 3)
+            five = run_search(10, workers=5, out_dir=tmp_path / "five")
         finally:
             sys.setswitchinterval(interval)
+        assert [r.to_dict() for r in five] == stored
+        _same_files(tmp_path / "one", tmp_path / "five")
         assert [r.count for r in one] == [EXPECTED_COUNTS[h] for h in range(2, 10)]
 
     def test_two_workers_write_the_same_files(self, tmp_path, two_cores):
@@ -311,23 +321,27 @@ def test_h14_exhaustive():
 
 @pytest.mark.slow
 @pytest.mark.skipif(_kernel.BACKEND == "python", reason="the pure kernel is about 60 times slower")
-def test_h13_out_stays_small(tmp_path):
-    """Opt in with ``-m slow``: ``enumerate --hexagons 13 --out`` with two
-    workers peaks under 100 MB, read from the child's own wait4; holding
-    every level's codes, it took about 400 MB."""
+@pytest.mark.parametrize("threads", [1, 2])
+def test_h13_out_stays_small(tmp_path, threads):
+    """Opt in with ``-m slow``: ``enumerate --hexagons 13 --out`` with one
+    or two workers peaks under 100 MB, read from the child's own wait4;
+    holding every level's codes, it took about 400 MB."""
     argv = [sys.executable, "-m", "bechex.cli", "enumerate", "--hexagons", "13", "--out", str(tmp_path)]
-    argv += ["--threads", str(min(2, os.cpu_count() or 1))]
+    argv += ["--threads", str(min(threads, os.cpu_count() or 1))]
     quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
     _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert usage.ru_maxrss < 100 * 1024, f"{usage.ru_maxrss / 1024:.0f} MB"
-    assert len((tmp_path / "benzenoids_h13.txt").read_text().split()) == 3_198_256
+    # Counted a line at a time: a spawned child's peak RSS starts from its
+    # parent's, so the codes of one case, held here, would count in the next.
+    with (tmp_path / "benzenoids_h13.txt").open() as fh:
+        assert sum(len(line.split()) for line in fh) == 3_198_256
 
 
 @pytest.fixture
 def small_runs(monkeypatch):
     """A run for every chunk of 7 parents' children, so that every level
-    from 3 up spills runs, in the parent and in each worker."""
+    from 3 up spills runs, in the main thread and in each worker thread."""
     monkeypatch.setattr(enumeration, "_CHUNK", 7)
     monkeypatch.setattr(enumeration, "_RUN", 3)
 
@@ -367,23 +381,35 @@ class TestRuns:
         assert spillers.pop(threading.get_ident()) >= 4  # levels 3 to 6 at least
         assert bool(spillers) == (workers > 1) and all(n >= 10 for n in spillers.values())
 
-    def test_a_slice_hands_back_runs_not_codes(self, tmp_path, breadth_first):
+    def test_a_slice_of_a_two_worker_run_ends_with_its_codes_in_runs(self, tmp_path, breadth_first):
+        """With more than one worker, run_search has each slice end by
+        spilling: then no buffer from the root level on holds a code, and
+        the runs give every code of the slice."""
         roots = dict(breadth_first(7))[7][::5]
-        totals = enumeration._slice(roots, [(Counter(), [], [], []) for _ in range(3)], tmp_path)
+        lock = threading.Lock()
+        totals = _descend(roots, [(Counter(), [], [], []) for _ in range(3)], tmp_path, lock, spill=True)
         whole = _descend(roots, [(Counter(), [], [], []) for _ in range(3)])
         for (_, _, codes, runs), (_, _, every, _) in zip(totals, whole):
             assert codes == [] and len(runs) == 1
             assert list(enumeration._lines([], runs)) == [code + "\n" for code in sorted(every)]
         assert len({runs[0][0] for _, _, _, runs in totals}) == 1  # one file for the slice
 
-    def test_a_thread_spills_at_its_share_of_a_run(self, tmp_path, monkeypatch):
-        """Two worker threads fill their buffers of a level at once, so each
-        spills at half of _RUN codes: a process holds about _RUN in all."""
+    def test_a_levels_one_buffer_spills_at_a_run_whichever_thread_fills_it(self, tmp_path, monkeypatch):
+        """The threads of a run add into one buffer a level, which spills
+        once it holds _RUN codes, whichever threads added them."""
         monkeypatch.setattr(enumeration, "_RUN", 4)
-        for share, runs in ((1, 0), (2, 1)):
-            total = (Counter(), [], [], [])
-            _add(total, (Counter({1: 2}), [(1, "5351"), (1, "4343")], ["5351", "4343"], []), tmp_path, share)
-            assert len(total[3]) == runs and len(total[2]) == 2 - 2 * runs, share
+        total = (Counter(), [], [], [])
+        folds = [
+            (Counter({1: 2}), [(1, "5351"), (1, "4343")], ["5351", "4343"]),
+            (Counter({2: 2}), [(2, "532521"), (2, "533511")], ["532521", "533511"]),
+        ]
+        for fold, runs in zip(folds, (0, 1)):
+            thread = threading.Thread(target=_add, args=(total, fold, tmp_path))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(total[3]) == runs and len(total[2]) == 2 - 2 * runs, runs
+        assert list(enumeration._lines([], total[3])) == ["4343\n", "532521\n", "533511\n", "5351\n"]
 
     def test_a_run_below_a_buffer_writes_no_run(self, tmp_path, monkeypatch):
         def refuse(totals, runs_dir):
@@ -401,7 +427,7 @@ class TestRuns:
         stale = out / ".runs" / "tmpkilled"  # a run a killed run left
         stale.parent.mkdir()
         stale.write_text("4343\n")
-        grow, deal = enumeration.kernel.grow, enumeration._slice
+        grow, deal = enumeration.kernel.grow, enumeration._descend
         grown, slices = Counter(), []  # grow calls by thread; grow calls by slice
 
         def after_the_stale_run(parents):
@@ -416,11 +442,11 @@ class TestRuns:
             return folds
 
         monkeypatch.setattr(enumeration.kernel, "grow", after_the_stale_run)
-        monkeypatch.setattr(enumeration, "_slice", counted)
+        monkeypatch.setattr(enumeration, "_descend", counted)
         run_search(9, workers=workers, out_dir=out, resume=True)
         assert not stale.parent.exists()
         _same_files(fresh_h9[0], out)
-        assert len(slices) == (16 if workers > 1 else 0)
+        assert len(slices) == 8 * workers
         # With workers, the cut comes inside a slice; the slices not started are cancelled.
         main, calls, after = threading.get_ident(), count(1), []
         threads = threading.active_count()
@@ -440,6 +466,27 @@ class TestRuns:
         assert threading.active_count() == threads  # no thread is left to write into .runs
         if workers > 1:  # the running slices end, and none starts after the raise
             assert len(after) - 1 < workers * max(slices)
+
+    def test_an_interrupt_in_the_main_thread_reaches_the_caller(
+        self, tmp_path, small_runs, monkeypatch, two_cores
+    ):
+        """The main thread walks slices beside the worker threads; a
+        KeyboardInterrupt in its grow stops the run as any error does, and
+        leaves no thread and no .runs."""
+        grow, main, calls = enumeration.kernel.grow, threading.get_ident(), count(1)
+        threads = threading.active_count()
+
+        def interrupted(parents):
+            # The walk down to the roots takes 20 grow calls of 7 parents.
+            if threading.get_ident() == main and next(calls) == 30:
+                raise KeyboardInterrupt(f"runs written: {(tmp_path / '.runs').is_dir()}")
+            return grow(parents)
+
+        monkeypatch.setattr(enumeration.kernel, "grow", interrupted)
+        with pytest.raises(KeyboardInterrupt, match="runs written: True"):
+            run_search(9, workers=2, out_dir=tmp_path)
+        assert not (tmp_path / ".runs").exists()
+        assert threading.active_count() == threads
 
 
 class TestPersistence:
