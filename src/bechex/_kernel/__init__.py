@@ -1,7 +1,7 @@
 """Hot kernels for the enumeration engine and ``bechex analyze``.
 
-Five entries make the kernel contract: ``grow``, ``fold``,
-``trace_code``, ``code_deficit`` and ``code_key``.  ``grow(parents)``
+Six entries make the kernel contract: ``grow``, ``fold``,
+``trace_code``, ``code_deficit``, ``code_key`` and ``survey``.  ``grow(parents)``
 returns a list of the canonical keys of the hole-free one-cell
 extensions of hole-free shapes whose canonical parent is among
 ``parents``, each once: a free neighbour joins when its occupied
@@ -13,7 +13,12 @@ key the list means nothing, but both backends give the same one or raise
 the same error.  ``fold(keys)`` returns ``(codes, deficits)``: the list
 of ``trace_code`` of each key and the bytes of ``code_deficit`` of each
 code.  Given a list whose k-th key is the first bad one, ``grow`` and
-``fold`` raise what a one-key call on that key raises.  The compiled
+``fold`` raise what a one-key call on that key raises.  ``survey(code)``
+returns ``(deficit, canonical, hexagons)`` off the code's walk alone,
+with no cell grid: ``code_deficit``, the canonical word, and the area
+the walk encloses in hexagons, or 0 when it does not close with winding
+6 and -1 when it revisits a vertex.  It refuses what ``code_deficit``
+refuses, and has no cell or grid limit.  The compiled
 backend (bechex._kernel._fast, built from the hand-written _fast.c) is
 used when importable; it releases the GIL inside ``grow`` and ``fold``,
 so threads calling them run in parallel.  Otherwise the pure-Python
@@ -59,6 +64,7 @@ grow = _impl.grow
 fold = _impl.fold
 trace_code = _impl.trace_code
 code_deficit = _impl.code_deficit
+survey = _impl.survey
 
 __all__ = [
     "BACKEND",
@@ -68,6 +74,7 @@ __all__ = [
     "fold",
     "grow",
     "pack_cells",
+    "survey",
     "trace_code",
     "unpack_cells",
 ]

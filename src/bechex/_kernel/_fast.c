@@ -1,6 +1,6 @@
 /* Compiled kernel backend: one-cell growth that keeps each hole-free
  * child once, from its canonical parent, boundary tracing, the
- * convexity deficit and code filling.
+ * convexity deficit, code filling, and the survey of a code off its walk.
  *
  * Mirrors bechex._kernel.pure, the reference that every entry point here
  * must agree with; bechex._kernel picks a backend at import.  Shapes
@@ -449,6 +449,23 @@ grow(PyObject *Py_UNUSED(module), PyObject *parents)
     return out;
 }
 
+/* Write into out the canonical form of the cyclic word of n symbols at
+ * sym: the greatest word over all its rotations, both readings. */
+static void
+greatest(const char *sym, int n, char *out)
+{
+    char dbl[2 * CAP_PERIMETER];
+    memcpy(out, sym, n);
+    for (int rev = 0; rev < 2; rev++) {
+        for (int i = 0; i < n; i++)
+            dbl[i] = dbl[n + i] = rev ? sym[n - 1 - i] : sym[i];
+        for (int s = 0; s < n; s++) {
+            if (memcmp(dbl + s, out, n) > 0)
+                memcpy(out, dbl + s, n);
+        }
+    }
+}
+
 /* Write the canonical boundary code of the packed key at src into digits,
  * CAP_PERIMETER bytes, and return its length, with the edges it walks in
  * *edges.  Returns -1 with *f noted for a key trace_code refuses. */
@@ -458,7 +475,7 @@ trace(const unsigned char *src, Py_ssize_t length, char *digits, long *edges, fa
     int q[CAP_CELLS], r[CAP_CELLS], width, height;
     unsigned char occ[CAP_GRID];
     unsigned char turns[CAP_PERIMETER];
-    int sym[CAP_PERIMETER], dbl[2 * CAP_PERIMETER], best[CAP_PERIMETER];
+    char sym[CAP_PERIMETER];
     int n = decode(src, length, q, r, &width, &height, f);
     if (n < 0)
         return -1;
@@ -522,27 +539,11 @@ trace(const unsigned char *src, Py_ssize_t length, char *digits, long *edges, fa
                 note(f, &PyExc_ValueError, "run longer than 5: input is not a benzenoid", 0, 0, 0);
                 return -1;
             }
-            sym[ns++] = run;
+            sym[ns++] = (char)('0' + run);
             run = 0;
         }
     }
-    /* canonical form: the greatest word over all rotations, both readings */
-    memcpy(best, sym, ns * sizeof(int));
-    for (int rev = 0; rev < 2; rev++) {
-        for (int i = 0; i < ns; i++)
-            dbl[i] = dbl[ns + i] = rev ? sym[ns - 1 - i] : sym[i];
-        for (int s = 0; s < ns; s++) {
-            for (int i = 0; i < ns; i++) {
-                if (dbl[s + i] != best[i]) {
-                    if (dbl[s + i] > best[i])
-                        memcpy(best, dbl + s, ns * sizeof(int));
-                    break;
-                }
-            }
-        }
-    }
-    for (int i = 0; i < ns; i++)
-        digits[i] = (char)('0' + best[i]);
+    greatest(sym, ns, digits);
     *edges = m;
     return ns;
 }
@@ -589,25 +590,38 @@ read_code(PyObject *code, Py_ssize_t *length)
     return c;
 }
 
-/* Convexity deficit of the n symbols at c, digits 1 to 5; -1 when
- * undefined. */
+/* Convexity deficit of the n symbols at c, digits 1 to 5, n at most
+ * CAP_PERIMETER: one less than the first width at which every cyclic
+ * window sums to at least twice its width; -1 when no width up to n does.
+ * A width fails at its first window below that. */
 static long
 deficit(const char *c, Py_ssize_t n)
 {
+    int sum[2 * CAP_PERIMETER + 1]; /* sum[i]: of the first i symbols of c read twice over */
+    sum[0] = 0;
+    for (int i = 0; i < n; i++)
+        sum[i + 1] = sum[i] + c[i] - '0';
+    for (int i = 1; i <= n; i++)
+        sum[n + i] = sum[n] + sum[i];
     for (int width = 1; width <= n; width++) {
-        long acc = 0, least;
-        for (int i = 0; i < width; i++)
-            acc += c[i] - '0';
-        least = acc;
-        for (int i = 1; i < n; i++) {
-            acc += c[(i + width - 1) % n] - c[i - 1];
-            if (acc < least)
-                least = acc;
-        }
-        if (least >= 2 * width)
+        int i = 0;
+        while (i < n && sum[i + width] - sum[i] >= 2 * width)
+            i++;
+        if (i == n)
             return width - 1;
     }
     return -1;
+}
+
+/* read_code, refusing a string that is not a digit string over 1..5 as
+ * code_deficit does. */
+static const char *
+symbols(PyObject *code, Py_ssize_t *length)
+{
+    const char *c = read_code(code, length);
+    if (c == NULL && !PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "bad symbol in code: %R", code);
+    return c;
 }
 
 static PyObject *
@@ -616,13 +630,8 @@ code_deficit(PyObject *Py_UNUSED(module), PyObject *code)
     Py_ssize_t n;
     if (PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "6") == 0)
         return PyLong_FromLong(0);
-    const char *c = read_code(code, &n);
-    if (c == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "bad symbol in code: %R", code);
-        return NULL;
-    }
-    return PyLong_FromLong(deficit(c, n));
+    const char *c = symbols(code, &n);
+    return c == NULL ? NULL : PyLong_FromLong(deficit(c, n));
 }
 
 /* trace_code of each key, then code_deficit of its code, a key at a time. */
@@ -685,30 +694,22 @@ centre_cell(int x, int y, int *q, int *r)
     *r = x - 1 - 2 * *q;
 }
 
-/* Walk the code from (0, 0) in direction 0 as lattice.walk does: each
- * symbol s steps s edges, turning left after each but the last and right
- * after the last.  Return the canonical key of the cells it encloses, or
- * None when the walk does not close with winding 6 or revisits a vertex. */
-static PyObject *
-code_key(PyObject *Py_UNUSED(module), PyObject *code)
-{
-    int vx[CAP_PERIMETER], vy[CAP_PERIMETER];
-    unsigned char dir[CAP_PERIMETER];
-    int q[CAP_CELLS], r[CAP_CELLS], stack[CAP_GRID];
-    unsigned char occ[CAP_GRID];
-    Py_ssize_t length;
-    if (PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "6") == 0)
-        return PyBytes_FromStringAndSize("\0\0", 2);
-    const char *c = read_code(code, &length);
-    if (c == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        Py_RETURN_NONE;
-    }
+#define NOT_CLOSED 0
+#define CROSSED (-1)
+#define NO_ROOM (-2)
 
+/* Walk the n symbols at c from (0, 0) in direction 0 as lattice.walk does:
+ * each symbol s steps s edges, turning left after each but the last and
+ * right after the last.  Write the start vertex of each edge into vx and
+ * vy, its direction into dir, and return the edge count; NOT_CLOSED when
+ * the walk does not close with winding 6, CROSSED when it revisits a
+ * vertex, tested in that order; NO_ROOM with MemoryError set. */
+static int
+walk(const char *c, Py_ssize_t n, int *vx, int *vy, unsigned char *dir)
+{
     int x = 0, y = 0, turn = 0, edges = 0;
     int minx = 0, maxx = 0, miny = 0, maxy = 0;
-    for (Py_ssize_t i = 0; i < length; i++) {
+    for (Py_ssize_t i = 0; i < n; i++) {
         int s = c[i] - '0';
         for (int step = 0; step < s; step++) {
             int d = (turn % 6 + 6) % 6;
@@ -729,12 +730,13 @@ code_key(PyObject *Py_UNUSED(module), PyObject *code)
         }
     }
     if (x != 0 || y != 0 || turn != 6)
-        Py_RETURN_NONE;
-
+        return NOT_CLOSED;
     int vheight = maxy - miny + 1;
     unsigned char *seen = PyMem_Calloc((size_t)(maxx - minx + 1) * vheight, 1);
-    if (seen == NULL)
-        return PyErr_NoMemory();
+    if (seen == NULL) {
+        PyErr_NoMemory();
+        return NO_ROOM;
+    }
     int simple = 1;
     for (int e = 0; e < edges && simple; e++) {
         unsigned char *v = &seen[(vx[e] - minx) * vheight + vy[e] - miny];
@@ -742,7 +744,31 @@ code_key(PyObject *Py_UNUSED(module), PyObject *code)
         *v = 1;
     }
     PyMem_Free(seen);
-    if (!simple)
+    return simple ? edges : CROSSED;
+}
+
+/* The canonical key of the cells the walk of a code encloses, or None
+ * when the walk does not close with winding 6 or revisits a vertex. */
+static PyObject *
+code_key(PyObject *Py_UNUSED(module), PyObject *code)
+{
+    int vx[CAP_PERIMETER], vy[CAP_PERIMETER];
+    unsigned char dir[CAP_PERIMETER];
+    int q[CAP_CELLS], r[CAP_CELLS], stack[CAP_GRID];
+    unsigned char occ[CAP_GRID];
+    Py_ssize_t length;
+    if (PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "6") == 0)
+        return PyBytes_FromStringAndSize("\0\0", 2);
+    const char *c = read_code(code, &length);
+    if (c == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    int edges = walk(c, length, vx, vy, dir);
+    if (edges == NO_ROOM)
+        return NULL;
+    if (edges <= 0)
         Py_RETURN_NONE;
 
     /* Walking from vertex a in direction d, the hexagon centred at
@@ -812,6 +838,32 @@ code_key(PyObject *Py_UNUSED(module), PyObject *code)
     return key_from_cells(q, r, n);
 }
 
+/* (deficit, canonical, hexagons) of a code, off its walk alone. */
+static PyObject *
+survey(PyObject *Py_UNUSED(module), PyObject *code)
+{
+    int vx[CAP_PERIMETER], vy[CAP_PERIMETER];
+    unsigned char dir[CAP_PERIMETER];
+    char canon[CAP_PERIMETER];
+    Py_ssize_t n;
+    if (PyUnicode_Check(code) && PyUnicode_CompareWithASCIIString(code, "6") == 0)
+        return Py_BuildValue("(isi)", 0, "6", 1);
+    const char *c = symbols(code, &n);
+    if (c == NULL)
+        return NULL;
+    int edges = walk(c, n, vx, vy, dir);
+    if (edges == NO_ROOM)
+        return NULL;
+    /* In lattice coefficients the shoelace sum is twice the area in unit
+     * rhombi, so 6 for each hexagon of three; the walk starts at (0, 0),
+     * so its last edge, back there, adds nothing. */
+    long area = 0;
+    for (int e = 1; e < edges; e++)
+        area += (long)vx[e - 1] * vy[e] - (long)vx[e] * vy[e - 1];
+    greatest(c, (int)n, canon);
+    return Py_BuildValue("(ls#l)", deficit(c, n), canon, n, edges > 0 ? area / 6 : (long)edges);
+}
+
 static PyMethodDef methods[] = {
     {"grow", grow, METH_O,
      "grow($module, parents, /)\n--\n\n"
@@ -833,6 +885,12 @@ static PyMethodDef methods[] = {
      "code_key($module, code, /)\n--\n\n"
      "Canonical key of the shape a code bounds; None when the string is\n"
      "not a benzenoid boundary code."},
+    {"survey", survey, METH_O,
+     "survey($module, code, /)\n--\n\n"
+     "(deficit, canonical, hexagons) of a digit string, read off its walk:\n"
+     "code_deficit, the greatest word over its rotations and reversal, and\n"
+     "the hexagons the walk encloses; 0 when it does not close with\n"
+     "winding 6, -1 when it revisits a vertex."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,11 +12,11 @@ in _fast.c's order, so both backends refuse the same keys.
 from __future__ import annotations
 
 from .. import lattice
-from ..codes import Code, convexity_deficit
+from ..codes import Code, canonical, convexity_deficit
 from ..errors import NotClosed, ResourceLimit, SelfIntersecting
 from .common import MAX_CELLS, MAX_GRID, check_edges, check_key, pack_cells, unpack_cells
 
-__all__ = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "trace_code"]
+__all__ = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "survey", "trace_code"]
 
 BACKEND = "python"
 
@@ -169,3 +169,26 @@ def code_key(code: str) -> bytes | None:
     if len(cells) > MAX_CELLS:
         raise ResourceLimit(f"the shape of {code!r} has more than {MAX_CELLS} cells")
     return pack_cells(lattice.canonical_cells(cells))
+
+
+def survey(code: str) -> tuple[int, str, int]:
+    """(deficit, canonical, hexagons) of a digit string, read off its walk:
+    code_deficit, the greatest word over its rotations and reversal, and
+    the hexagons the walk encloses; 0 when it does not close with winding
+    6, -1 when it revisits a vertex."""
+    deficit = code_deficit(code)
+    if code == "6":
+        return 0, "6", 1
+    word = Code(tuple(map(int, code)))
+    canon = str(canonical(word))
+    try:
+        boundary = lattice.walk(word)
+    except NotClosed:
+        return deficit, canon, 0
+    if not boundary.simple:
+        return deficit, canon, -1
+    # In lattice coefficients the shoelace sum is twice the area in unit
+    # rhombi, so 6 for each hexagon of three.
+    points = boundary.vertices
+    area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
+    return deficit, canon, area // 6

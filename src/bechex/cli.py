@@ -111,35 +111,22 @@ def _emit_results(results: list) -> None:
 
 
 def _analyze_one(text: str) -> dict:
-    """The analysis of one code given as text."""
+    """The analysis of one code given as text, off one kernel survey of its walk."""
     text, edges = _code_text(text)
-    deficit = kernel.code_deficit(text)
+    deficit, canon, hexagons = kernel.survey(text)
     payload = {
         "code": text,
+        "canonical": canon,
         "length": len(text),
         "winding": edges - 2 * len(text),
         "deficit": None if deficit < 0 else deficit,
         "class": _convexity_kind(text).value,
+        "embeddable": hexagons > 0,
     }
-    try:
-        key = kernel.code_key(text)
-        if key is not None:
-            canon, h = kernel.trace_code(key), len(key) // 2
-            payload.update(canonical=canon, embeddable=True, hexagons=h,
-                           condensation=_code_condensation(canon, h).value)
-            return payload
-    except ResourceLimit:
-        pass
-    # No shape, and embed names why; or one above the kernel's limits, which embed fills.
-    from .lattice import embed
-    code = Code(tuple(map(int, text)))
-    try:
-        shape = embed(code)
-    except BechexError as exc:
-        payload.update(canonical=str(canonical(code)), embeddable=False, reason=type(exc).__name__)
+    if hexagons > 0:
+        payload.update(hexagons=hexagons, condensation=_code_condensation(canon, hexagons).value)
     else:
-        payload.update(canonical=str(shape.code), embeddable=True, hexagons=shape.hexagons,
-                       condensation=shape.condensation.value)
+        payload["reason"] = (SelfIntersecting if hexagons else NotClosed).__name__
     return payload
 
 

@@ -70,6 +70,10 @@ _CHUNK = 1024
 #: writes no run.
 _RUN = 1 << 18
 
+#: Runs one merge opens at most, well under common open-file limits
+#: (1,024 is usual); an h = 14 run with many workers can spill more.
+_MERGE = 256
+
 
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
@@ -191,8 +195,17 @@ def _fold(keys: list[bytes]):
 def _lines(codes: list[str], runs):
     """Yield the lines of ``codes``, sorted in place, merged with those of
     ``runs``, each (file, offset, lines) of sorted lines.  Codes are
-    distinct, and "\n" sorts below every digit, so lines merge in code order."""
+    distinct, and "\n" sorts below every digit, so lines merge in code order.
+    No merge opens more than _MERGE runs: past that, the first _MERGE are
+    merged into one more run beside them, until few enough are left."""
     codes.sort()
+    runs = list(runs)
+    while len(runs) > _MERGE:
+        first, runs = runs[:_MERGE], runs[_MERGE:]
+        folder = os.path.dirname(first[0][0])
+        with tempfile.NamedTemporaryFile("w", encoding="ascii", dir=folder, delete=False) as fh:
+            fh.writelines(_lines([], first))
+        runs.append((fh.name, 0, sum(lines for _, _, lines in first)))
     with contextlib.ExitStack() as stack:
         parts = [(code + "\n" for code in codes)]
         for path, offset, lines in runs:
@@ -392,11 +405,8 @@ def enumerate_unbranched_fusenes(h: int) -> list[Code]:
 def max_cd_unbranched_benzenoids(h: int) -> tuple[int, tuple[Code, ...]]:
     """Largest convexity deficit over the unbranched benzenoids with h
     hexagons (fusenes that embed), plus every code attaining it."""
-    found = [
-        (kernel.code_deficit(str(code)), code)
-        for code in enumerate_unbranched_fusenes(h)
-        if kernel.code_key(str(code)) is not None
-    ]
+    surveys = ((kernel.survey(str(code)), code) for code in enumerate_unbranched_fusenes(h))
+    found = [(deficit, code) for (deficit, _, hexagons), code in surveys if hexagons > 0]
     best = max(deficit for deficit, _ in found)
     return best, tuple(code for deficit, code in found if deficit == best)
 

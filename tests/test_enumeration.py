@@ -8,12 +8,15 @@ and 12 were confirmed by running the compiled kernel and the
 pure-Python kernel against each other.
 """
 
+import heapq
 import json
 import os
 import sys
+import tempfile
 import threading
 from collections import Counter
 from itertools import count, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -410,6 +413,76 @@ class TestRuns:
             assert not thread.is_alive()
             assert len(total[3]) == runs and len(total[2]) == 2 - 2 * runs, runs
         assert list(enumeration._lines([], total[3])) == ["4343\n", "532521\n", "533511\n", "5351\n"]
+
+    def test_no_thread_adds_to_a_level_while_it_spills(
+        self, tmp_path, fresh_h9, small_runs, monkeypatch, two_cores
+    ):
+        """The first spill of a level-9 buffer waits, after its sort and
+        before its clear(), until another thread adds codes to that level,
+        or for a second.  Under the totals' lock no thread can, so the wait
+        runs out and the files are right.  Without the lock one does, every
+        time, and its codes are lost or written twice."""
+        spill, add, make = enumeration._spill, enumeration._add, tempfile.NamedTemporaryFile
+        held, entered, added = {}, threading.Event(), threading.Event()  # held: the spill that waits
+
+        def noted_spill(totals, runs_dir):
+            (_, _, codes, _), *others = totals  # one level: a spill from _add
+            if not held and not others and _kernel.survey(codes[0])[2] == 9:
+                held.update(thread=threading.get_ident(), total=totals[0], waiting=False)
+            spill(totals, runs_dir)
+
+        def run_file(*args, **kwargs):
+            """The run file of the held spill waits at its first write, which comes after the sort."""
+            fh = make(*args, **kwargs)
+            if held.get("thread") == threading.get_ident() and "write" not in held:
+                held["write"] = fh.write
+
+                def first_write_waits(text):
+                    fh.write, held["waiting"] = held["write"], True
+                    if entered.wait(timeout=1):  # another thread is in _add: let it finish
+                        added.wait(timeout=60)
+                    held["waiting"] = False
+                    return fh.write(text)
+
+                fh.write = first_write_waits
+            return fh
+
+        def noted_add(total, fold, runs_dir=None):
+            other = held.get("waiting") and total is held["total"] and fold[2]  # the held thread waits
+            if other:
+                entered.set()
+            add(total, fold, runs_dir)
+            if other:
+                added.set()
+
+        monkeypatch.setattr(enumeration, "_spill", noted_spill)
+        monkeypatch.setattr(enumeration, "_add", noted_add)
+        monkeypatch.setattr(enumeration, "tempfile", SimpleNamespace(NamedTemporaryFile=run_file))
+        out = tmp_path / "out"
+        reports = run_search(9, workers=2, out_dir=out)
+        assert "write" in held
+        assert [r.to_dict() for r in reports] == fresh_h9[1]
+        _same_files(fresh_h9[0], out)
+        assert not entered.is_set(), "a thread added to a level while it was spilled"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_merge_opens_no_more_than_its_bound_of_runs(
+        self, tmp_path, fresh_h9, small_runs, monkeypatch, workers, two_cores
+    ):
+        """With a run every 3 codes, level 9 spills over 200 runs; merged
+        at most 5 at a time, they give the same files."""
+        merge, widest = heapq.merge, []
+
+        def bounded(*parts):  # the codes in memory, then one part for each run
+            widest.append(len(parts) - 1)
+            return merge(*parts)
+
+        monkeypatch.setattr(enumeration, "_MERGE", 5)
+        monkeypatch.setattr(enumeration, "heapq", SimpleNamespace(merge=bounded))
+        out = tmp_path / "out"
+        assert [r.to_dict() for r in run_search(9, workers=workers, out_dir=out)] == fresh_h9[1]
+        _same_files(fresh_h9[0], out)
+        assert max(widest) == 5 and widest.count(5) > 40
 
     def test_a_run_below_a_buffer_writes_no_run(self, tmp_path, monkeypatch):
         def refuse(totals, runs_dir):

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
 import threading
+from collections import Counter
 from functools import cache
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import chain, groupby
@@ -23,7 +25,7 @@ import pytest
 import bechex._kernel as kernel
 from bechex._kernel import pack_cells, pure, unpack_cells
 from bechex._kernel.common import MAX_CELLS, MAX_GRID, MAX_PERIMETER
-from bechex.codes import ConvexityKind, classify, convexity_deficit, parse_code
+from bechex.codes import ConvexityKind, canonical, classify, convexity_deficit, parse_code
 from bechex.enumeration import enumerate_unbranched_fusenes
 from bechex.errors import NotClosed, ResourceLimit
 from bechex.families import _chain, _p4, spiral
@@ -231,6 +233,8 @@ def _canonical_children(key):
 
 
 FOLD_DEPTH = 10
+#: Levels whose codes survey reads from every rotation, both ways.
+SURVEY_ROTATED_DEPTH = {"c": 10, "python": 8}
 
 
 class TestBackendParity:
@@ -249,6 +253,32 @@ class TestBackendParity:
             assert len(set(grown)) == len(grown), f"a repeated child from h={h}"
             assert set(grown) == _hole_free_children(level), f"grow from h={h}"
             level = sorted(grown)
+
+    def test_survey_reads_every_level_file_code_from_every_start(self, backend, level_lines):
+        """Each code through CODE_KEY_DEPTH, read from each rotation and both
+        ways, gives its deficit, its trace_code and its key's cell count;
+        the pure backend reads the deepest levels only as written."""
+        for h, lines in level_lines.items():
+            for key, code in lines:
+                readings = [code]
+                if h <= SURVEY_ROTATED_DEPTH[backend.BACKEND]:
+                    readings = [word[i:] + word[:i] for word in (code, code[::-1]) for i in range(len(word))]
+                expected = (backend.code_deficit(code), code, len(key) // 2)
+                assert [backend.survey(word) for word in readings] == [expected] * len(readings), code
+
+    def test_survey_gives_minus_1_for_the_crossing_fusenes(self, backend):
+        crossing = [str(c) for h in range(2, FUSENE_DEPTH + 1) for c in enumerate_unbranched_fusenes(h)
+                    if backend.code_key(str(c)) is None]
+        assert len(crossing) > 100
+        assert [backend.survey(code) for code in crossing] == [
+            (backend.code_deficit(code), str(canonical(parse_code(code))), -1) for code in crossing
+        ]
+
+    def test_survey_gives_0_for_walks_that_do_not_close_anticlockwise(self, backend):
+        words = _open_words() + _closed_words_of_another_winding()
+        assert [backend.survey(word) for word in words] == [
+            (backend.code_deficit(word), str(canonical(parse_code(word))), 0) for word in words
+        ]
 
     def test_fold_is_trace_code_then_code_deficit(self, backend, breadth_first):
         for h, keys in breadth_first(FOLD_DEPTH):
@@ -341,9 +371,9 @@ def test_each_child_comes_from_one_parent(backend, breadth_first):
 
 
 class TestContract:
-    """Both backends expose the same five entries and the backend name."""
+    """Both backends expose the same six entries and the backend name."""
 
-    ENTRIES = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "trace_code"]
+    ENTRIES = ["BACKEND", "code_deficit", "code_key", "fold", "grow", "survey", "trace_code"]
 
     def test_backends_expose_the_same_entries(self, fast):
         assert sorted(pure.__all__) == self.ENTRIES
@@ -388,6 +418,43 @@ def test_the_class_read_off_the_code_is_that_of_the_inner_dual(backend, level_li
             assert found is condensation_class(unpack_cells(key)), key
 
 
+@cache
+def _open_words() -> tuple[str, ...]:
+    """2,000 seeded words over 1..5 whose walks do not come back to their start."""
+    rng = random.Random(6)
+    words = []
+    while len(words) < 2000:
+        word = "".join(rng.choice("12345") for _ in range(rng.randint(1, 60)))
+        try:
+            walk(parse_code(word))
+        except NotClosed:
+            words.append(word)
+    return tuple(words)
+
+
+@cache
+def _closed_words_of_another_winding() -> tuple[str, ...]:
+    """150 seeded words whose walks come back to their start with a winding
+    other than 6, more than 20 of them simple boundaries walked clockwise,
+    with the inside on the right."""
+    rng = random.Random(6)
+    words, clockwise = [], 0
+    while len(words) < 150:
+        word = "".join(rng.choice("1123") for _ in range(rng.randint(6, 30)))
+        x = y = turn = 0
+        vertices = []
+        for s in map(int, word):
+            for step in range(s):
+                vertices.append((x, y))
+                dx, dy = DIRECTIONS[turn % 6]
+                x, y, turn = x + dx, y + dy, turn + (1 if step < s - 1 else -1)
+        if (x, y) == (0, 0) and turn != 6:
+            words.append(word)
+            clockwise += turn == -6 and len(set(vertices)) == len(vertices)
+    assert clockwise > 20
+    return tuple(words)
+
+
 class TestCodeKey:
     """code_key against the enumerated keys, on both backends."""
 
@@ -411,32 +478,10 @@ class TestCodeKey:
         assert [code for code in crossing if backend.code_key(code) is not None] == []
 
     def test_words_that_do_not_close_give_none(self, backend):
-        rng = random.Random(6)
-        words = []
-        while len(words) < 2000:
-            word = "".join(rng.choice("12345") for _ in range(rng.randint(1, 60)))
-            try:
-                walk(parse_code(word))
-            except NotClosed:
-                words.append(word)
-        assert [word for word in words if backend.code_key(word) is not None] == []
+        assert [word for word in _open_words() if backend.code_key(word) is not None] == []
 
     def test_walks_that_close_clockwise_or_crossed_give_none(self, backend):
-        rng = random.Random(6)
-        words, clockwise = [], 0
-        while len(words) < 150:
-            word = "".join(rng.choice("1123") for _ in range(rng.randint(6, 30)))
-            x = y = turn = 0
-            vertices = []
-            for s in map(int, word):
-                for step in range(s):
-                    vertices.append((x, y))
-                    dx, dy = DIRECTIONS[turn % 6]
-                    x, y, turn = x + dx, y + dy, turn + (1 if step < s - 1 else -1)
-            if (x, y) == (0, 0) and turn != 6:
-                words.append(word)
-                clockwise += turn == -6 and len(set(vertices)) == len(vertices)
-        assert clockwise > 20  # simple boundaries walked with the inside on the right
+        words = _closed_words_of_another_winding()
         assert [word for word in words if backend.code_key(word) is not None] == []
 
     @pytest.mark.parametrize("text", ["5x1", "²3", "", "٣٣", " 55", "55\n", "66", "0", "565"])
@@ -451,6 +496,13 @@ class TestCodeKey:
 def test_code_deficit_refuses_strings_that_are_not_codes(backend, text):
     with pytest.raises(ValueError):
         backend.code_deficit(text)
+
+
+@pytest.mark.parametrize("text", ["٣٣", "", "66", "0", "5x1", "²3", " 55", "6 "])
+def test_survey_refuses_what_code_deficit_refuses(backend, text):
+    with pytest.raises(ValueError, match=f"^bad symbol in code: {re.escape(repr(text))}$"):
+        backend.survey(text)
+    assert _outcome(backend.survey, text) == _outcome(backend.code_deficit, text)
 
 
 @pytest.mark.parametrize(
@@ -502,7 +554,7 @@ def test_the_h14_extremal_shapes_have_deficit_21(backend, text):
     assert convexity_deficit(spiral(14)) == backend.code_deficit(str(spiral(14))) == 20
 
 
-@pytest.mark.parametrize("entry", ["code_deficit", "code_key"])
+@pytest.mark.parametrize("entry", ["code_deficit", "code_key", "survey"])
 @pytest.mark.parametrize("value", [55, None, b"55"], ids=["int", "None", "bytes"])
 def test_a_code_that_is_not_a_str_is_a_type_error(backend, entry, value):
     with pytest.raises(TypeError, match=f"a code must be str, not {type(value).__name__}$"):
@@ -556,6 +608,7 @@ class TestLimits:
             assert fast.code_deficit(code) == pure.code_deficit(code)
             assert fast.code_key(code) == pure.code_key(code) == canon
             assert fast.code_key(code[::-1]) == canon
+            assert fast.survey(code[::-1]) == pure.survey(code) == (pure.code_deficit(code), code, n)
 
     def test_a_grown_shape_at_the_cell_limit_agrees(self, fast):
         key = pack_cells(_random_benzenoid(random.Random(1), MAX_CELLS))
@@ -589,6 +642,26 @@ class TestLimits:
         for code in codes:
             assert _outcome(fast.code_key, code) == _outcome(pure.code_key, code), code
             assert _outcome(fast.code_deficit, code) == _outcome(pure.code_deficit, code), code
+            assert _outcome(fast.survey, code) == _outcome(pure.survey, code), code
+
+    def test_random_digit_strings_survey_alike_up_to_the_edge_limit_and_over(self, fast):
+        """Seeded strings of 1 to MAX_PERIMETER + 1 edges, some with a bad
+        symbol: the same result, or the same exception and message."""
+        rng = random.Random(1024)
+        outcomes = Counter()
+        sizes = [MAX_PERIMETER, MAX_PERIMETER + 1] * 3 + [rng.randint(1, MAX_PERIMETER + 1) for _ in range(300)]
+        for edges in sizes:
+            symbols = []
+            while sum(symbols) < edges:
+                symbols.append(min(rng.choice((1, 2, 2, 3, 3, 4, 5)), edges - sum(symbols)))
+            text = "".join(map(str, symbols))
+            if rng.random() < 0.1:
+                at = rng.randrange(len(text))
+                text = text[:at] + rng.choice("06x ") + text[at + 1:]
+            outcome = _outcome(fast.survey, text)
+            assert outcome == _outcome(pure.survey, text), text
+            outcomes[outcome[0] if isinstance(outcome[0], type) else "result"] += 1
+        assert outcomes.keys() == {"result", ValueError, ResourceLimit}
 
     @pytest.mark.parametrize("entry", ["grow", "fold"])
     def test_the_first_bad_key_of_a_list_raises_as_it_does_alone(self, backend, entry, breadth_first):
@@ -633,16 +706,30 @@ class TestLimits:
         chain = "5" + "2" * 254 + "5" + "2" * 254
         assert sum(map(int, chain)) == MAX_PERIMETER + 2
         for code in (chain, "1" * (MAX_PERIMETER + 1)):
-            for entry in (backend.code_key, backend.code_deficit):
+            for entry in (backend.code_key, backend.code_deficit, backend.survey):
                 with pytest.raises(ResourceLimit):
                     entry(code)
         assert backend.code_key("1" * MAX_PERIMETER) is None
-        assert backend.code_deficit("5" + "2" * 252 + "5" + "2" * 252) == 0
+        at_limit = "5" + "2" * 252 + "5" + "2" * 252
+        assert backend.code_deficit(at_limit) == 0
+        assert backend.survey(at_limit) == (0, at_limit, 254)
         too_many = _random_benzenoid(random.Random(9), MAX_CELLS + 1)
         too_wide = _l_shape(int(MAX_GRID**0.5) - 2)
         for shape in (too_many, too_wide):
             with pytest.raises(ResourceLimit):
                 backend.code_key(str(trace(shape)))
+            # survey fills no grid, so only the edge limit holds it
+            assert backend.survey(str(trace(shape)))[1:] == (str(trace(shape)), len(shape))
+
+    @pytest.mark.parametrize("code", [
+        "".join(map(str, _p4(16, 16))), str(trace(HEXAGONAL_BLOCK)), str(trace(TWO_ARMS)),
+    ], ids=["parallelogram", "block", "arms"])
+    def test_survey_counts_the_hexagons_of_shapes_above_code_keys_limits(self, backend, code):
+        """256 and 271 cells, and a grid of 69 x 135 slots: embed's count."""
+        with pytest.raises(ResourceLimit):
+            backend.code_key(code)
+        shape = embed(parse_code(code))
+        assert backend.survey(code) == (convexity_deficit(parse_code(code)), str(shape.code), shape.hexagons)
 
     def test_codes_above_the_limits_raise_the_same_message(self, fast):
         """Above a limit, both backends name the same limit in the same words,

@@ -10,6 +10,9 @@ import pytest
 
 import bechex
 from bechex import _kernel
+from bechex.lattice import trace
+
+from test_cli import HEXAGONAL_BLOCK
 
 
 #: Prints the loaded bechex modules and whether fractions is loaded.
@@ -44,6 +47,18 @@ def test_enumerate_loads_only_the_modules_it_runs():
 
 def test_analyze_loads_only_the_modules_it_runs():
     loaded = _loaded_after("import bechex.cli\nbechex.cli.main(['analyze', '5351'])")
+    kernel = ["_kernel._fast"] if _kernel.BACKEND == "c" else ["_kernel.pure", "lattice"]
+    expected = ["cli", "codes", "errors", "_kernel", "_kernel.common", *kernel]
+    modules = ["bechex", *(f"bechex.{name}" for name in expected)]
+    assert loaded == {"modules": sorted(modules), "fractions": False}
+
+
+def test_analyze_stdin_never_loads_the_lattice():
+    """Not for a walk that does not close or that crosses itself, nor for a
+    shape above code_key's limits: each code is read off its walk alone."""
+    stdin = "\n".join(["5351", "535151", "5111153333", "5x1", str(trace(HEXAGONAL_BLOCK))])
+    code = f"import io, sys, bechex.cli\nsys.stdin = io.StringIO({stdin!r})\n"
+    loaded = _loaded_after(code + "bechex.cli.main(['analyze', '--stdin', '--json'])")
     kernel = ["_kernel._fast"] if _kernel.BACKEND == "c" else ["_kernel.pure", "lattice"]
     expected = ["cli", "codes", "errors", "_kernel", "_kernel.common", *kernel]
     modules = ["bechex", *(f"bechex.{name}" for name in expected)]
